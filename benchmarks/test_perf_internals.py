@@ -155,14 +155,16 @@ def test_perf_des_event_loop_tracing_on(benchmark):
 
 
 def test_perf_pfs_write_path_faults_disabled(benchmark, request):
-    """Resilience guard: with no fault schedule, no retry policy, and a
-    healthy cluster, the PFS data path must not pay for the fault
-    machinery it carries (health routing, retry dispatch, resource holds).
+    """Inert-hook guard: with no fault schedule, no retry policy, no
+    corruption, no replication, no rebuild manager and no write quorum,
+    the PFS data path must not pay for the machinery it carries.
 
-    All hooks stay inert (``retry is None``, ``route_map is None``,
-    ``_held == 0``), so the request loop reduces to the pre-faults code —
-    a handful of pointer compares per sub-request. Bounded against the
-    committed BENCH_perf.json mean with the same coarse cross-machine
+    Every hook stays inert — health routing (``route_map is None``,
+    untouched), the checksum layer (``integrity is None``, no per-server
+    tags) and durability (``rebuild is None``, ``write_quorum is None``,
+    empty ``replica_overrides``) — so the request loop reduces to the
+    pre-hook code, a handful of slot tests per sub-request. Bounded against
+    the committed BENCH_perf.json mean with the same coarse cross-machine
     factor the tracing guard uses.
     """
 
@@ -174,6 +176,10 @@ def test_perf_pfs_write_path_faults_disabled(benchmark, request):
         sim.run(sim.all_of(procs))
         assert pfs.health.route_map is None  # Hooks never engaged.
         assert not pfs.health.touched
+        assert pfs.integrity is None
+        assert all(server.checksums is None for server in pfs.servers)
+        assert pfs.rebuild is None and pfs.write_quorum is None
+        assert not pfs.replica_overrides
         return sim.now
 
     result = benchmark(run)
@@ -181,70 +187,6 @@ def test_perf_pfs_write_path_faults_disabled(benchmark, request):
     baseline = _baseline_mean("test_perf_pfs_write_path_faults_disabled")
     if baseline is not None:
         assert benchmark.stats.stats.mean <= baseline * 2.0
-
-
-def test_perf_pfs_write_path_integrity_disabled(benchmark, request):
-    """Integrity guard: with no corruption faults and no replication, the
-    data path must not pay for the checksum layer it carries.
-
-    The hook is one ``checksums is None`` slot test per serve (the same
-    discipline as tracing and faults), so this bench must track the
-    faults-disabled bench above — both reduce to the identical pre-hook
-    request loop. Bounded against that bench's committed mean so a
-    checksum hook that starts allocating or hashing on the disabled path
-    shows up even before this case has its own committed baseline.
-    """
-
-    def run():
-        sim = Simulator()
-        pfs = HybridPFS.build(sim, 2, 2, seed=0)
-        handle = pfs.create_file("f", FixedLayout(2, 2, 64 * KiB))
-        procs = [handle.write(i * 256 * KiB, 256 * KiB) for i in range(64)]
-        sim.run(sim.all_of(procs))
-        assert pfs.integrity is None  # Hook never engaged.
-        assert all(server.checksums is None for server in pfs.servers)
-        return sim.now
-
-    result = benchmark(run)
-    assert result > 0
-    for name in ("test_perf_pfs_write_path_integrity_disabled",
-                 "test_perf_pfs_write_path_faults_disabled"):
-        baseline = _baseline_mean(name)
-        if baseline is not None:
-            assert benchmark.stats.stats.mean <= baseline * 2.0
-            break
-
-
-def test_perf_pfs_write_path_rebuild_disabled(benchmark, request):
-    """Durability guard: with no rebuild manager and no write quorum, the
-    data path must not pay for the durability layer it carries.
-
-    The hooks are slot tests per request (``rebuild is None``,
-    ``write_quorum is None``, empty ``replica_overrides``), so this bench
-    must track the faults-disabled bench — both reduce to the identical
-    pre-hook request loop. Bounded against that bench's committed mean so
-    a durability hook that starts dict-probing or spawning on the
-    disabled path shows up even before this case has its own baseline.
-    """
-
-    def run():
-        sim = Simulator()
-        pfs = HybridPFS.build(sim, 2, 2, seed=0)
-        handle = pfs.create_file("f", FixedLayout(2, 2, 64 * KiB))
-        procs = [handle.write(i * 256 * KiB, 256 * KiB) for i in range(64)]
-        sim.run(sim.all_of(procs))
-        assert pfs.rebuild is None and pfs.write_quorum is None
-        assert not pfs.replica_overrides  # Hooks never engaged.
-        return sim.now
-
-    result = benchmark(run)
-    assert result > 0
-    for name in ("test_perf_pfs_write_path_rebuild_disabled",
-                 "test_perf_pfs_write_path_faults_disabled"):
-        baseline = _baseline_mean(name)
-        if baseline is not None:
-            assert benchmark.stats.stats.mean <= baseline * 2.0
-            break
 
 
 def test_perf_mds_cluster_lookup_throughput(benchmark):

@@ -54,7 +54,13 @@ from pathlib import Path
 
 from repro.core.planner import HARLPlanner
 from repro.experiments import figures
-from repro.experiments.harness import Testbed, harl_plan, run_workload, run_workload_batched
+from repro.experiments.harness import (
+    Testbed,
+    _Run,
+    harl_plan,
+    run_workload,
+    run_workload_batched,
+)
 from repro.faults import FaultSchedule, FaultSpecError, RetryPolicy, parse_faults
 from repro.obs import (
     record_plan_report,
@@ -343,8 +349,10 @@ def _durability_line(stats) -> str:
         f"at-risk peak {format_size(stats.at_risk_bytes_peak)}, "
         f"exposure {stats.exposure_seconds:.4f}s"
     )
-    if stats.mttr_samples:
+    if stats.mttr_mean is not None:
         line += f", MTTR mean {stats.mttr_mean:.4f}s (max {stats.mttr_max:.4f}s)"
+    elif stats.crash_batches:
+        line += ", MTTR unrestored"
     if stats.data_loss_events:
         line += (
             f" | {stats.data_loss_events} loss events "
@@ -361,30 +369,48 @@ def _quorum_line(stats) -> str:
     )
 
 
+def _durability_config(
+    args: argparse.Namespace, testbed: Testbed, mds_crash_error: str | None
+) -> RebuildConfig | None:
+    """Validate the durability flags ``run-ior`` and ``chaos`` share.
+
+    Raises :class:`FaultSpecError` (exit 2) on a bad flag, or with
+    ``mds_crash_error`` when the command schedules mds-crash faults on an
+    unsharded testbed. Returns the ``--rebuild`` config, or None.
+    """
+    if mds_crash_error is not None and testbed.mds_shards < 1:
+        raise FaultSpecError(mds_crash_error)
+    if args.rebuild and args.replicas < 2:
+        raise FaultSpecError(
+            "--rebuild needs a surviving copy to rebuild from "
+            "(run with --replicas >= 2)"
+        )
+    if not 0.0 < args.rebuild_duty_cycle <= 1.0:
+        raise FaultSpecError(
+            f"--rebuild-duty-cycle must be in (0, 1], got {args.rebuild_duty_cycle}"
+        )
+    write_quorum = getattr(args, "write_quorum", None)
+    if write_quorum is not None and write_quorum < 1:
+        raise FaultSpecError(f"--write-quorum must be >= 1, got {write_quorum}")
+    return RebuildConfig(duty_cycle=args.rebuild_duty_cycle) if args.rebuild else None
+
+
 def cmd_run_ior(args: argparse.Namespace) -> int:
     try:
         testbed = _testbed(args)
         workload = _ior_workload(args)
         layout, label, is_harl = _resolve_layout(args, testbed, workload)
         faults = parse_faults(args.faults) if args.faults else None
-        if faults is not None and faults.mds_crashes() and testbed.mds_shards < 1:
-            raise FaultSpecError(
+        rebuild = _durability_config(
+            args,
+            testbed,
+            mds_crash_error=(
                 "mds-crash faults require a sharded metadata cluster "
                 "(run with --mds-shards >= 1)"
-            )
-        if args.rebuild and args.replicas < 2:
-            raise FaultSpecError(
-                "--rebuild needs a surviving copy to rebuild from "
-                "(run with --replicas >= 2)"
-            )
-        if not 0.0 < args.rebuild_duty_cycle <= 1.0:
-            raise FaultSpecError(
-                f"--rebuild-duty-cycle must be in (0, 1], got {args.rebuild_duty_cycle}"
-            )
-        if args.write_quorum is not None and args.write_quorum < 1:
-            raise FaultSpecError(
-                f"--write-quorum must be >= 1, got {args.write_quorum}"
-            )
+                if faults is not None and faults.mds_crashes()
+                else None
+            ),
+        )
     except (LayoutSpecError, FaultSpecError, ValueError) as exc:
         # Bad --layout/--faults/--mds-* specs and inconsistent IOR geometry
         # (file size not a whole number of requests/processes) exit cleanly.
@@ -393,7 +419,6 @@ def cmd_run_ior(args: argparse.Namespace) -> int:
     # Faults imply a retry policy: without one a crashed server would turn
     # every in-flight sub-request into a hard failure instead of a failover.
     retry = RetryPolicy(seed=args.seed) if faults is not None else None
-    rebuild = RebuildConfig(duty_cycle=args.rebuild_duty_cycle) if args.rebuild else None
     trace_out = getattr(args, "trace_out", None)
     try:
         result = run_workload(
@@ -482,19 +507,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             raise FaultSpecError("--corrupt-rate must be >= 0")
         if args.mds_crash_rate < 0:
             raise FaultSpecError("--mds-crash-rate must be >= 0")
-        if args.mds_crash_rate > 0 and testbed.mds_shards < 1:
-            raise FaultSpecError("--mds-crash-rate requires --mds-shards >= 1")
         if args.replicas < 1:
             raise FaultSpecError(f"--replicas must be >= 1, got {args.replicas}")
-        if args.rebuild and args.replicas < 2:
-            raise FaultSpecError(
-                "--rebuild needs a surviving copy to rebuild from "
-                "(run with --replicas >= 2)"
-            )
-        if not 0.0 < args.rebuild_duty_cycle <= 1.0:
-            raise FaultSpecError(
-                f"--rebuild-duty-cycle must be in (0, 1], got {args.rebuild_duty_cycle}"
-            )
+        rebuild = _durability_config(
+            args,
+            testbed,
+            mds_crash_error=(
+                "--mds-crash-rate requires --mds-shards >= 1"
+                if args.mds_crash_rate > 0
+                else None
+            ),
+        )
         if args.restore_after is not None and args.restore_after <= 0:
             raise FaultSpecError(
                 f"--restore-after must be > 0, got {args.restore_after}"
@@ -516,7 +539,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     retry = RetryPolicy(seed=args.seed)
-    rebuild = RebuildConfig(duty_cycle=args.rebuild_duty_cycle) if args.rebuild else None
     n_servers = args.hservers + args.sservers
     # Fault-free reference runs set the horizon for random schedules and
     # the denominator of the slowdown column.
@@ -605,11 +627,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             dur = result.durability
             lost_bytes = dur.data_lost_bytes if dur is not None else 0
             at_risk = dur.at_risk_bytes_peak if dur is not None else 0
-            mttr = (
-                f"{dur.mttr_mean:.3f}s"
-                if dur is not None and dur.mttr_samples
-                else "-"
-            )
+            mttr = "-"
+            if dur is not None and dur.mttr_mean is not None:
+                mttr = f"{dur.mttr_mean:.3f}s"
+            elif dur is not None and dur.crash_batches:
+                mttr = "unrestored"
             data_lost_total += lost_bytes
             rebuild_cols = (
                 f" {format_size(lost_bytes):>9} {format_size(at_risk):>8} {mttr:>8}"
@@ -878,11 +900,7 @@ def cmd_scrub(args: argparse.Namespace) -> int:
     any corruption went silent (detected but neither repaired nor reported)
     — the invariant the integrity layer guarantees never happens.
     """
-    from repro.faults.injector import FaultInjector
-    from repro.middleware.mpi_sim import SimMPI
-    from repro.middleware.mpiio import MPIIOFile
     from repro.online.scrub import Scrubber
-    from repro.simulate.engine import Simulator
 
     testbed = _testbed(args)
     try:
@@ -894,21 +912,15 @@ def cmd_scrub(args: argparse.Namespace) -> int:
             raise ValueError(f"--chunk-size must be >= 1, got {args.chunk_size}")
         if not (0 < args.duty_cycle <= 1):
             raise ValueError(f"--duty-cycle must be in (0, 1], got {args.duty_cycle}")
+        # Unknown server names surface when the schedule binds to the PFS.
+        run = _Run(testbed, faults=faults, fault_seed=args.seed)
     except (LayoutSpecError, FaultSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sim = Simulator()
-    pfs = testbed.build(sim)
+    sim, pfs = run.sim, run.pfs
     pfs.enable_integrity()  # scrub verifies even when no faults are scheduled
-    if faults is not None:
-        try:
-            FaultInjector(sim, pfs, faults, seed=args.seed).install()
-        except FaultSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    world = SimMPI(sim, workload.config.n_processes, network=pfs.network)
-    mf = MPIIOFile.open(world.comm, pfs, "shared.dat", layout)
-    sim.run(world.spawn(workload.rank_program(mf)))
+    world, mf = run.open(workload.config.n_processes, layout)
+    run.run(world.spawn(workload.rank_program(mf)))
     write_makespan = sim.now
     if faults is not None:
         # Let any corruption events scheduled past the write horizon fire.
@@ -918,16 +930,15 @@ def cmd_scrub(args: argparse.Namespace) -> int:
             def idle(delay=last - sim.now):
                 yield sim.timeout(delay)
 
-            sim.run(sim.process(idle()))
+            run.run(sim.process(idle()))
     scrubber = Scrubber(pfs, chunk_size=chunk_size, duty_cycle=args.duty_cycle)
-    sim.run(scrubber.start())
-    report = scrubber.last_report
-    stats = pfs.integrity.stats()
+    run.run(scrubber.start())
+    stats = run.result(label, workload.config.file_size, makespan=write_makespan).integrity
     print(
         f"wrote {format_size(workload.config.file_size)} under layout {label} "
         f"in {write_makespan:.4f}s"
     )
-    print(f"  {report.summary()}")
+    print(f"  {scrubber.last_report.summary()}")
     print(f"  {_integrity_line(stats)}")
     if stats.silent_corruptions != 0:
         print(
@@ -1078,18 +1089,17 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
         # Streamed replay: generate + submit one window at a time on one
         # long-lived cluster, so peak RSS is bounded by the chunk, not the
         # run (the 100M-request mode).
-        from repro.simulate.engine import Simulator
-
-        sim = Simulator()
-        pfs = testbed.build(sim)
+        run = _Run(testbed)
+        pfs = run.pfs
         handle = pfs.create_file("shared.dat", layout)
         start = time.perf_counter()
         n_chunks = 0
         for chunk in workload.iter_request_batches(args.chunk_size):
-            sim.run(handle.request_batch(chunk))
+            run.run(handle.request_batch(chunk))
             n_chunks += 1
         fast_wall = time.perf_counter() - start
-        makespan, total_bytes = sim.now, n_requests * request_size
+        total_bytes = n_requests * request_size
+        makespan = run.result(format_size(stripe), total_bytes).makespan
         stats = pfs.batch_stats
         fallbacks = dict(pfs.batch_fallbacks)
         n_subrequests = sum(s.subrequests_served for s in pfs.servers)

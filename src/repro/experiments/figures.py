@@ -678,7 +678,8 @@ class RebuildRow:
     duty: float | None
     makespan: float
     slowdown: float
-    mttr: float
+    #: None when no crash batch regained redundancy ("unrestored").
+    mttr: float | None
     at_risk_peak: int
     bytes_rebuilt: int
     data_lost_bytes: int
@@ -697,8 +698,10 @@ class RebuildResult:
     (larger makespan); a low duty cycle is gentle on the foreground but
     leaves the cluster one crash away from data loss for longer. The
     ``2nd-crash`` row lands a second, other-class crash *inside* the
-    exposure window — with rebuild off (or too slow) the only other copy
-    dies and bytes are permanently lost; a completed rebuild shrugs it off.
+    exposure window. With rebuild off the only other copy dies and bytes
+    are permanently lost; with rebuild at full duty the second crash still
+    lands before the first crash's placements are restored, so that row
+    loses data too and its MTTR reads "unrestored".
     """
 
     replicas: int
@@ -718,8 +721,9 @@ class RebuildResult:
         for row in self.rows:
             duty = "off" if row.duty is None else f"{row.duty:.2f}"
             if row.tracked:
+                mttr = "unrestored" if row.mttr is None else f"{row.mttr:.6f}"
                 tail = (
-                    f"{row.mttr:>10.6f} {row.at_risk_peak / KiB:>13.0f} "
+                    f"{mttr:>10} {row.at_risk_peak / KiB:>13.0f} "
                     f"{row.bytes_rebuilt / KiB:>13.0f} {row.data_lost_bytes / KiB:>10.0f}"
                 )
             else:
@@ -753,8 +757,9 @@ def fig_rebuild(
     - ``crash`` at each rebuild duty cycle — MTTR shrinks as duty rises,
       foreground slowdown grows;
     - ``2nd-crash-in-window`` — the unlucky double crash, rebuild off vs
-      full duty: permanent loss vs a rebuild that already restored (or
-      re-restores) redundancy.
+      full duty. The second crash lands before even full-duty rebuild has
+      restored the first, so the rebuild row also loses data and reports an
+      unrestored (None) MTTR.
     """
     from repro.faults import FaultSchedule, RetryPolicy, ServerCrash
     from repro.online.rebuild import RebuildConfig
@@ -804,7 +809,7 @@ def fig_rebuild(
                 duty=duty,
                 makespan=outcome.makespan,
                 slowdown=outcome.makespan / baseline if baseline else 0.0,
-                mttr=durability.mttr_mean if durability is not None else 0.0,
+                mttr=durability.mttr_mean if durability is not None else None,
                 at_risk_peak=durability.at_risk_bytes_peak if durability is not None else 0,
                 bytes_rebuilt=durability.bytes_rebuilt if durability is not None else 0,
                 data_lost_bytes=(

@@ -1,16 +1,21 @@
 """Run harness: testbeds, workload execution, layout comparison tables.
 
 A :class:`Testbed` captures the cluster shape (M HServers + N SServers,
-device and network parameters); :func:`run_workload` builds a fresh
-simulator + PFS, runs a workload's rank programs under one layout, and
-returns makespan/throughput/per-server busy times; :func:`compare_layouts`
-sweeps a set of layouts (the paper's fixed/random/HARL comparison) over one
-workload and renders the figure-style table.
+device and network parameters). One run core, :class:`_Run`, owns every
+simulation run's lifecycle — simulator, tracer, cluster, faults,
+durability and the :class:`RunResult` — and the entry points are thin
+drivers on it: :func:`run_workload` runs a workload's rank programs under
+one layout, :func:`run_workload_batched` one columnar batch,
+:func:`run_serving` a multi-tenant scenario and
+:func:`run_concurrent_workloads` several applications at once.
+:func:`compare_layouts` sweeps a set of layouts (the paper's
+fixed/random/HARL comparison) over one workload and renders the
+figure-style table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Protocol
 
 from repro.core.params import CostModelParameters
@@ -188,23 +193,6 @@ class Testbed:
         return cached
 
 
-def _mds_outcome(pfs, failed: bool = False):
-    """``RunResult.mds`` payload for a cluster-backed run (else None).
-
-    The expected namespace is rebuilt from the filesystem's live handles —
-    every file's name and committed layout generation — so the cluster's
-    ``lost_entries`` check covers exactly what clients would ask for after
-    the run (the chaos zero-lost-entries gate).
-    """
-    stats = getattr(pfs.mds, "stats", None)
-    if stats is None:
-        return None
-    expected = {
-        name: handle.layout_generation for name, handle in pfs._files.items()
-    }
-    return stats(expected=expected, failed=failed)
-
-
 @dataclass(frozen=True)
 class RunResult:
     """One (workload, layout) simulation outcome."""
@@ -252,48 +240,142 @@ class RunResult:
         return self.throughput / MiB
 
 
-def _attach_durability(pfs, rebuild: Any, write_quorum: int | None):
-    """Arm quorum writes and/or a rebuild manager on a fresh filesystem.
+class _Run:
+    """One simulation run's lifecycle, shared by every harness entry point.
 
-    ``rebuild`` is a :class:`repro.online.rebuild.RebuildConfig` (or ``True``
-    for the defaults); returns the attached manager, or None. ``write_quorum``
-    is the ack threshold ``k``: replicated writes return once ``k`` copies are
-    durable and mirror the rest asynchronously.
+    Construction builds the simulator, the optional event tracer
+    (``trace=None`` defers to ``REPRO_TRACE``) and exactly one filesystem
+    via ``testbed.build(sim)``, then installs the fault schedule (seeded by
+    ``fault_seed``, default the testbed's), the retry policy, quorum writes
+    (``write_quorum=k``) and a rebuild manager (``rebuild``: a
+    :class:`repro.online.rebuild.RebuildConfig` or ``True``). A driver
+    spawns its work on ``sim``/``pfs``, advances with :meth:`run`, and ends
+    with :meth:`result` — the only code filling ``RunResult``'s payloads.
     """
-    manager = None
-    if write_quorum is not None:
-        if write_quorum < 1:
-            raise ValueError(f"write_quorum must be >= 1, got {write_quorum}")
-        pfs.write_quorum = write_quorum
-    if rebuild is not None and rebuild is not False:
-        from repro.online.rebuild import RebuildConfig, RebuildManager
 
-        config = rebuild if isinstance(rebuild, RebuildConfig) else RebuildConfig()
-        manager = RebuildManager(
-            pfs,
-            duty_cycle=config.duty_cycle,
-            chunk_size=config.chunk_size,
-            fail_on_loss=config.fail_on_loss,
+    def __init__(
+        self,
+        testbed: Testbed,
+        trace: bool | None = False,
+        faults: Any = None,
+        fault_seed: int | None = None,
+        retry: Any = None,
+        rebuild: Any = None,
+        write_quorum: int | None = None,
+    ):
+        self.sim = Simulator()
+        self.tracer = None
+        if trace or (trace is None and tracing_enabled()):
+            self.tracer = EventTracer()
+            self.sim.tracer = self.tracer
+        self.pfs = testbed.build(self.sim)
+        self.injector = None
+        if faults is not None:
+            from repro.faults.injector import FaultInjector
+
+            seed = testbed.seed if fault_seed is None else fault_seed
+            self.injector = FaultInjector(self.sim, self.pfs, faults, seed=seed).install()
+        if retry is not None:
+            self.pfs.retry = retry
+        self.write_quorum = write_quorum
+        if write_quorum is not None:
+            if write_quorum < 1:
+                raise ValueError(f"write_quorum must be >= 1, got {write_quorum}")
+            self.pfs.write_quorum = write_quorum
+        self.rebuild = None
+        if rebuild is not None and rebuild is not False:
+            from repro.online.rebuild import RebuildConfig, RebuildManager
+
+            config = rebuild if isinstance(rebuild, RebuildConfig) else RebuildConfig()
+            self.rebuild = RebuildManager(
+                self.pfs,
+                duty_cycle=config.duty_cycle,
+                chunk_size=config.chunk_size,
+                fail_on_loss=config.fail_on_loss,
+            )
+        self.mds_failed = False
+
+    def open(
+        self,
+        n_ranks: int,
+        layout: LayoutPolicy | RegionStripeTable,
+        file_name: str = "shared.dat",
+        collector: TraceCollector | None = None,
+        n_aggregators: int | None = None,
+    ) -> tuple[SimMPI, MPIIOFile]:
+        """A fresh ``n_ranks``-rank world with ``file_name`` open on it."""
+        world = SimMPI(self.sim, n_ranks, network=self.pfs.network)
+        if collector is not None:
+            collector.sim = self.sim  # Trace timestamps follow this run's clock.
+        mf = MPIIOFile.open(
+            world.comm, self.pfs, file_name, layout, collector=collector,
+            n_aggregators=n_aggregators,
         )
-    return manager
+        return world, mf
 
+    def run(self, until: Any) -> None:
+        """Advance the simulation until ``until`` fires.
 
-def _durability_outcome(sim, pfs, manager, write_quorum: int | None):
-    """Drain outstanding rebuild work, then summarize durability (or None).
+        Degraded metadata (a crashed, unrecovered shard) under an injected
+        fault schedule is an outcome — ``RunResult.mds.failed`` — not a
+        traceback; without an injector it can only be a bug, so it raises.
+        """
+        try:
+            self.sim.run(until)
+        except MetadataUnavailable:
+            if self.injector is None:
+                raise
+            self.mds_failed = True
 
-    Called *after* the foreground makespan is captured: rebuild that outlives
-    the workload finishes on its own simulated time, restoring redundancy
-    without inflating the foreground numbers.
-    """
-    if manager is not None:
-        if manager.active or manager.pending:
-            sim.run(sim.process(manager.drain()))
-        return manager.stats()
-    if write_quorum is not None:
-        from repro.online.rebuild import quorum_only_stats
+    def result(
+        self,
+        layout_name: str,
+        total_bytes: int,
+        makespan: float | None = None,
+        serving: Any = None,
+    ) -> RunResult:
+        """Close the run and package its outcome.
 
-        return quorum_only_stats(pfs)
-    return None
+        ``makespan`` defaults to the current clock. It is taken *before*
+        outstanding rebuild work drains on its own simulated time, so
+        restoring redundancy never inflates the foreground numbers.
+        """
+        sim, pfs = self.sim, self.pfs
+        if makespan is None:
+            makespan = sim.now
+        durability = None
+        if self.rebuild is not None:
+            if self.rebuild.active or self.rebuild.pending:
+                sim.run(sim.process(self.rebuild.drain()))
+            durability = self.rebuild.stats()
+        elif self.write_quorum is not None:
+            from repro.online.rebuild import quorum_only_stats
+
+            durability = quorum_only_stats(pfs)
+        obs = None
+        if self.tracer is not None:
+            obs = collect_snapshot(self.tracer, pfs, makespan=sim.now)
+        mds = None
+        mds_stats = getattr(pfs.mds, "stats", None)
+        if mds_stats is not None:
+            # Expected namespace: every live handle's name and committed
+            # layout generation, so the cluster's lost-entries check covers
+            # exactly what clients would ask for after the run.
+            expected = {name: handle.layout_generation for name, handle in pfs._files.items()}
+            mds = mds_stats(expected=expected, failed=self.mds_failed)
+        return RunResult(
+            layout_name=layout_name,
+            makespan=makespan,
+            total_bytes=total_bytes,
+            server_busy=pfs.server_busy_times(),
+            obs=obs,
+            faults=self.injector.stats() if self.injector is not None else None,
+            integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
+            serving=serving,
+            mds=mds,
+            cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
+            durability=durability,
+        )
 
 
 def run_workload(
@@ -333,54 +415,18 @@ def run_workload(
     and leave fault-free runs byte-identical to builds without them; the
     outcome rides back in ``RunResult.durability``.
     """
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
-    pfs = testbed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=testbed.seed).install()
-    if retry is not None:
-        pfs.retry = retry
-    manager = _attach_durability(pfs, rebuild, write_quorum)
-    world = SimMPI(sim, workload_processes(workload), network=pfs.network)
-    if collector is not None:
-        collector.sim = sim  # Trace timestamps follow this run's clock.
-    n_aggregators = getattr(getattr(workload, "config", None), "n_aggregators", None)
-    mf = MPIIOFile.open(
-        world.comm, pfs, file_name, layout, collector=collector, n_aggregators=n_aggregators
+    run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
+    world, mf = run.open(
+        workload_processes(workload),
+        layout,
+        file_name,
+        collector,
+        n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
     )
-    done = world.spawn(workload.rank_program(mf))
-    mds_failed = False
-    try:
-        sim.run(done)
-    except MetadataUnavailable:
-        # Degraded metadata (crashed, unrecovered shard): surface the
-        # outcome in RunResult.faults/RunResult.mds, not as a traceback.
-        if injector is None:
-            raise
-        mds_failed = True
-    makespan = sim.now
-    durability = _durability_outcome(sim, pfs, manager, write_quorum)
+    run.run(world.spawn(workload.rank_program(mf)))
     if layout_name is None:
         layout_name = mf.handle.layout.describe()
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
-    return RunResult(
-        layout_name=layout_name,
-        makespan=makespan,
-        total_bytes=workload_bytes(workload),
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
-        mds=_mds_outcome(pfs, failed=mds_failed),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
-        durability=durability,
-    )
+    return run.result(layout_name, workload_bytes(workload))
 
 
 def run_workload_batched(
@@ -404,8 +450,9 @@ def run_workload_batched(
     workload object exposing ``request_batch()`` (all five generators do).
     The whole batch is submitted through the middleware in one call, so the
     run takes the arithmetic fast path of :mod:`repro.pfs.batch_exec`
-    whenever eligible — tracing, fault schedules, or a retry policy push it
-    onto the general per-request path automatically, with identical results.
+    whenever eligible — tracing, fault schedules, a retry policy, rebuild or
+    quorum writes push it onto the general per-request path automatically
+    (the fast-path blocker counts the fallback), with identical results.
     ``force_general=True`` pins the general path (the parity baseline).
 
     ``stats_sink``, when given, receives the transient cluster's batching
@@ -416,56 +463,18 @@ def run_workload_batched(
     from repro.pfs.batch import RequestBatch
 
     batch = workload if isinstance(workload, RequestBatch) else workload.request_batch()
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
-    pfs = testbed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=testbed.seed).install()
-    if retry is not None:
-        pfs.retry = retry
-    # Rebuild or quorum writes push the batch onto the general path (the
-    # fast-path blocker counts the fallback); rebuild-off runs keep their
-    # fast tiers bit-identical.
-    manager = _attach_durability(pfs, rebuild, write_quorum)
-    world = SimMPI(sim, 1, network=pfs.network)
-    if collector is not None:
-        collector.sim = sim
-    mf = MPIIOFile.open(world.comm, pfs, file_name, layout, collector=collector)
-    done = mf.request_batch(batch, force_general=force_general)
-    mds_failed = False
-    try:
-        sim.run(done)
-    except MetadataUnavailable:
-        if injector is None:
-            raise
-        mds_failed = True
-    makespan = sim.now
-    durability = _durability_outcome(sim, pfs, manager, write_quorum)
+    run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
+    _, mf = run.open(1, layout, file_name, collector)
+    run.run(mf.request_batch(batch, force_general=force_general))
+    if layout_name is None:
+        layout_name = mf.handle.layout.describe()
+    result = run.result(layout_name, batch.total_bytes)
     if stats_sink is not None:
+        pfs = run.pfs
         stats_sink["batch_stats"] = dict(pfs.batch_stats)
         stats_sink["batch_fallbacks"] = dict(pfs.batch_fallbacks)
         stats_sink["subrequests"] = sum(s.subrequests_served for s in pfs.servers)
-    if layout_name is None:
-        layout_name = mf.handle.layout.describe()
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
-    return RunResult(
-        layout_name=layout_name,
-        makespan=makespan,
-        total_bytes=batch.total_bytes,
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
-        mds=_mds_outcome(pfs, failed=mds_failed),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
-        durability=durability,
-    )
+    return result
 
 
 def run_serving(
@@ -482,28 +491,20 @@ def run_serving(
     buckets, and admission bounds. Per-tenant latency histograms and hedge
     counters land in ``RunResult.serving`` (a picklable
     :class:`~repro.serving.frontend.ServingResult`); ``trace``/``faults``/
-    ``retry`` behave exactly as in :func:`run_workload`. Same (seed,
-    scenario, schedule) ⇒ identical results, serial or ``--jobs N``.
+    ``retry`` behave exactly as in :func:`run_workload`, except that the
+    fault injector is seeded from the scenario. Same (seed, scenario,
+    schedule) ⇒ identical results, serial or ``--jobs N``.
     """
-    from repro.obs.tracer import collect_snapshot
     from repro.serving.frontend import simulate_scenario
 
-    serving, sim, pfs, tracer, injector = simulate_scenario(
-        testbed, scenario, faults=faults, retry=retry, trace=trace
-    )
-    obs = collect_snapshot(tracer, pfs, makespan=sim.now) if tracer is not None else None
+    scenario.validate()
+    if scenario.fair_share and testbed.disk_scheduler == "fifo":
+        testbed = replace(testbed, disk_scheduler="wfq")
+    run = _Run(testbed, trace, faults, fault_seed=scenario.seed, retry=retry)
+    serving = simulate_scenario(run.pfs, scenario)
     total_bytes = sum(t.bytes_read + t.bytes_written for t in serving.tenants)
-    return RunResult(
-        layout_name=f"serving[{len(serving.tenants)} tenants]",
-        makespan=serving.makespan,
-        total_bytes=total_bytes,
-        server_busy=pfs.server_busy_times(),
-        obs=obs,
-        faults=injector.stats() if injector is not None else None,
-        integrity=pfs.integrity.stats() if pfs.integrity is not None else None,
-        serving=serving,
-        mds=_mds_outcome(pfs),
-        cache=pfs.mds_cache.stats() if pfs.mds_cache is not None else None,
+    return run.result(
+        f"serving[{len(serving.tenants)} tenants]", total_bytes, serving=serving
     )
 
 
@@ -568,17 +569,15 @@ def run_concurrent_workloads(
     """
     if not apps:
         raise ValueError("need at least one application")
-    sim = Simulator()
-    pfs = testbed.build(sim)
+    run = _Run(testbed)
+    sim = run.sim
     finish_times: dict[str, float] = {}
     joins = []
     for name, workload, layout in apps:
-        world = SimMPI(sim, workload_processes(workload), network=pfs.network)
-        mf = MPIIOFile.open(
-            world.comm,
-            pfs,
-            f"{name}.dat",
+        world, mf = run.open(
+            workload_processes(workload),
             layout,
+            f"{name}.dat",
             n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
         )
         done = world.spawn(workload.rank_program(mf))
@@ -588,17 +587,18 @@ def run_concurrent_workloads(
             finish_times[name] = sim.now
 
         joins.append(sim.process(track()))
-    sim.run(sim.all_of(joins))
+    run.run(sim.all_of(joins))
+    shared = run.result("", 0)
     per_app = {
-        name: RunResult(
+        name: replace(
+            shared,
             layout_name=name,
             makespan=finish_times[name],
             total_bytes=workload_bytes(workload),
-            server_busy=pfs.server_busy_times(),
         )
         for name, workload, _ in apps
     }
-    return ConcurrentRunResult(makespan=sim.now, per_app=per_app)
+    return ConcurrentRunResult(makespan=shared.makespan, per_app=per_app)
 
 
 @dataclass(frozen=True)
@@ -640,8 +640,6 @@ def run_replicated(
     layout's advantage is device-latency luck (the answer should be: none —
     startup draws average out over thousands of sub-requests).
     """
-    from dataclasses import replace
-
     results = []
     for seed in seeds:
         seeded = replace(testbed, seed=seed, _params_by_bucket=None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -169,32 +169,12 @@ def execute_run_job(job: RunJob) -> Any:
     """Run one :class:`RunJob` (module-level, hence pool-picklable)."""
     from repro.experiments.harness import run_workload, run_workload_batched
 
-    if job.batched:
-        return run_workload_batched(
-            job.testbed,
-            job.workload,
-            job.layout,
-            layout_name=job.layout_name,
-            file_name=job.file_name,
-            trace=job.trace,
-            faults=job.faults,
-            retry=job.retry,
-            rebuild=job.rebuild,
-            write_quorum=job.write_quorum,
-            force_general=job.force_general,
-        )
-    return run_workload(
-        job.testbed,
-        job.workload,
-        job.layout,
-        layout_name=job.layout_name,
-        file_name=job.file_name,
-        trace=job.trace,
-        faults=job.faults,
-        retry=job.retry,
-        rebuild=job.rebuild,
-        write_quorum=job.write_quorum,
-    )
+    # RunJob's fields are the entry points' keyword names.
+    kwargs = {spec.name: getattr(job, spec.name) for spec in fields(RunJob)}
+    if kwargs.pop("batched"):
+        return run_workload_batched(**kwargs)
+    del kwargs["force_general"]
+    return run_workload(**kwargs)
 
 
 def execute_serve_job(job: ServeJob) -> Any:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.core.planner import HARLPlanner
 from repro.middleware.iosig import TraceCollector
-from repro.middleware.mpi_sim import SimMPI
-from repro.middleware.mpiio import MPIIOFile
 from repro.online.migration import (  # noqa: F401 (MigrationStats re-exported)
     MigrationAborted,
     MigrationStats,
@@ -220,14 +218,13 @@ def run_workload_online(
     *initial* layout was planned from, so the controller replans only when
     the live workload departs from that profile.
     """
-    from repro.experiments.harness import RunResult, workload_bytes, workload_processes
-    from repro.simulate.engine import Simulator
+    from repro.experiments.harness import _Run, workload_bytes, workload_processes
 
-    sim = Simulator()
-    pfs = testbed.build(sim)
-    world = SimMPI(sim, workload_processes(workload), network=pfs.network)
-    collector = TraceCollector(sim)
-    mf = MPIIOFile.open(world.comm, pfs, file_name, initial_layout, collector=collector)
+    run = _Run(testbed)
+    collector = TraceCollector(run.sim)
+    world, mf = run.open(
+        workload_processes(workload), initial_layout, file_name, collector
+    )
 
     def planner_factory(mean_size: float) -> HARLPlanner:
         params = testbed.parameters(request_hint=int(mean_size))
@@ -237,7 +234,7 @@ def run_workload_online(
     if baseline_trace:
         monitor.baseline_from(list(baseline_trace))
     controller = OnlineHARLController(
-        pfs,
+        run.pfs,
         mf.handle,
         collector,
         planner_factory,
@@ -247,12 +244,5 @@ def run_workload_online(
         migration_duty_cycle=migration_duty_cycle,
     )
     controller.start()
-    done = world.spawn(workload.rank_program(mf))
-    sim.run(done)
-    result = RunResult(
-        layout_name=layout_name,
-        makespan=sim.now,
-        total_bytes=workload_bytes(workload),
-        server_busy=pfs.server_busy_times(),
-    )
-    return result, controller.report
+    run.run(world.spawn(workload.rank_program(mf)))
+    return run.result(layout_name, workload_bytes(workload)), controller.report

@@ -116,12 +116,14 @@ class DurabilityStats:
     timeline: tuple[tuple[float, int, int, int], ...] = ()
 
     @property
-    def mttr_mean(self) -> float:
-        return sum(self.mttr_samples) / len(self.mttr_samples) if self.mttr_samples else 0.0
+    def mttr_mean(self) -> float | None:
+        """Mean MTTR; None when no crash batch ever regained redundancy."""
+        return sum(self.mttr_samples) / len(self.mttr_samples) if self.mttr_samples else None
 
     @property
-    def mttr_max(self) -> float:
-        return max(self.mttr_samples) if self.mttr_samples else 0.0
+    def mttr_max(self) -> float | None:
+        """Worst MTTR; None when no crash batch ever regained redundancy."""
+        return max(self.mttr_samples) if self.mttr_samples else None
 
     @property
     def fully_redundant(self) -> bool:

@@ -25,12 +25,11 @@ itself simulation state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.devices.base import OpType
 from repro.obs.metrics import TAIL_LATENCY_BOUNDS, MetricsRegistry, histogram_quantile
-from repro.obs.tracer import EventTracer, tracing_enabled
 from repro.pfs.health import ServerUnavailable
 from repro.pfs.integrity import IntegrityError
 from repro.pfs.layout import FixedLayout
@@ -44,7 +43,6 @@ from repro.serving.tiers import (
     TierSpec,
     parse_tier_config,
 )
-from repro.simulate.engine import Simulator
 from repro.util.rng import derive_rng
 from repro.util.units import KiB
 
@@ -219,38 +217,18 @@ class _TenantState:
     outstanding: list = field(default_factory=list)
 
 
-def simulate_scenario(
-    testbed,
-    scenario: ServingScenario,
-    faults=None,
-    retry=None,
-    trace: bool | None = None,
-):
-    """Run one scenario; returns ``(ServingResult, sim, pfs, tracer, injector)``.
+def simulate_scenario(pfs, scenario: ServingScenario) -> ServingResult:
+    """Drive one validated scenario's tenants on ``pfs`` until they drain.
 
-    The extras let the harness assemble a full ``RunResult`` (obs snapshot,
-    fault stats, integrity stats) without re-running anything. Most callers
-    want :func:`repro.experiments.harness.run_serving` instead.
+    ``pfs`` is a freshly built cluster whose simulator may carry an event
+    tracer (its registry then also collects the tenant histograms). Most
+    callers want :func:`repro.experiments.harness.run_serving`, which builds
+    the cluster, installs faults, and packages the outcome as a
+    ``RunResult``.
     """
-    scenario.validate()
     tiers = scenario.tier_map()
-    sim = Simulator()
-    tracer = None
-    if trace or (trace is None and tracing_enabled()):
-        tracer = EventTracer()
-        sim.tracer = tracer
-    bed = testbed
-    if scenario.fair_share and bed.disk_scheduler == "fifo":
-        bed = replace(bed, disk_scheduler="wfq")
-    pfs = bed.build(sim)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(sim, pfs, faults, seed=scenario.seed).install()
-    if retry is not None:
-        pfs.retry = retry
-    registry = tracer.registry if tracer is not None else MetricsRegistry()
+    sim = pfs.sim
+    registry = sim.tracer.registry if sim.tracer is not None else MetricsRegistry()
 
     hedgers: dict[str, HedgeScheduler] = {}
 
@@ -265,7 +243,7 @@ def simulate_scenario(
     for spec in scenario.tenants:
         tier = tiers[spec.tier]
         layout = FixedLayout(
-            bed.n_hservers, bed.n_sservers, scenario.stripe, replicas=tier.replicas
+            pfs.n_hservers, pfs.n_sservers, scenario.stripe, replicas=tier.replicas
         )
         handle = pfs.create_file(f"{spec.name}.dat", layout)
         handle.qos = (spec.name, tier.weight)
@@ -416,11 +394,10 @@ def simulate_scenario(
         )
         for state in states
     )
-    result = ServingResult(
+    return ServingResult(
         duration=scenario.duration,
         makespan=sim.now,
         tenants=tenants,
         hedge=hedge_totals,
         metrics=snapshot,
     )
-    return result, sim, pfs, tracer, injector

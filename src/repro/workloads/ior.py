@@ -19,7 +19,7 @@ per process, random request order within the segment, request size fixed
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,13 +246,3 @@ class IORWorkload:
 
         return program
 
-
-@dataclass(frozen=True)
-class MultiPhaseIORConfig:
-    """IOR with distinct request sizes per file phase — Fig. 11's modified IOR.
-
-    Kept for API symmetry; the full non-uniform workload generator lives in
-    :mod:`repro.workloads.synthetic`.
-    """
-
-    phases: tuple[IORConfig, ...] = field(default_factory=tuple)

@@ -25,6 +25,7 @@ from repro.faults import (
     parse_faults,
 )
 from repro.online import DataLossError, RebuildConfig, RebuildManager
+from repro.online.rebuild import DurabilityStats
 from repro.pfs.batch_exec import fast_path_blocker
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import FixedLayout
@@ -371,3 +372,25 @@ def test_property_no_silent_loss_under_crash_restore_interleavings(
     else:
         assert stats.data_lost_bytes > 0
         assert not stats.fully_redundant
+
+
+class TestUnrestoredMttr:
+    def test_no_restored_batch_reports_none(self):
+        stats = DurabilityStats(crash_batches=1, data_loss_events=1)
+        assert stats.mttr_mean is None
+        assert stats.mttr_max is None
+
+    def test_second_crash_row_is_unrestored_not_zero(self):
+        from repro.experiments.figures import fig_rebuild
+
+        result = fig_rebuild()
+        row = next(r for r in result.rows if r.label == "2nd-crash, rebuild")
+        assert row.tracked
+        assert row.data_lost_bytes > 0
+        assert row.mttr is None
+        line = next(
+            text for text in result.render().splitlines()
+            if text.startswith("2nd-crash, rebuild")
+        )
+        assert "unrestored" in line
+        assert "0.000000" not in line
