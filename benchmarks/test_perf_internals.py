@@ -443,6 +443,46 @@ def test_perf_batched_replay_1m_speedup(benchmark):
     )
 
 
+def test_perf_ior_closed_loop_speedup(benchmark, monkeypatch):
+    """Closed-loop IOR through ``run_workload``: event-heap replay vs rank programs.
+
+    The paper's figures run IOR closed loop (each rank waits for its
+    request before sending the next). 16 ranks of 512 KiB requests under
+    HARL and the 64K default: the default route replays the closed-loop
+    batch on the event-heap tier; ``REPRO_BATCH_FAST=0`` runs the SimMPI
+    rank programs. Makespans and per-server busy times must be identical
+    and the fast route at least 2x faster — a ratio, so the gate holds
+    across machines.
+    """
+    import time
+
+    from repro.experiments.harness import Testbed, harl_plan, run_workload
+    from repro.util.units import MiB
+    from repro.workloads.ior import IORConfig, IORWorkload
+
+    testbed = Testbed(n_hservers=6, n_sservers=2, seed=0)
+    workload = IORWorkload(
+        IORConfig(n_processes=16, request_size=512 * KiB, file_size=512 * MiB, op="write")
+    )
+    layouts = {"HARL": harl_plan(testbed, workload), "64K": FixedLayout(6, 2, 64 * KiB)}
+
+    def run():
+        return {name: run_workload(testbed, workload, layout) for name, layout in layouts.items()}
+
+    fast = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
+    monkeypatch.setenv("REPRO_BATCH_FAST", "0")
+    start = time.perf_counter()
+    general = run()
+    general_wall = time.perf_counter() - start
+    speedup = general_wall / benchmark.stats.stats.min
+    benchmark.extra_info["general_wall_s"] = general_wall
+    benchmark.extra_info["speedup"] = speedup
+    for name in layouts:
+        assert fast[name].makespan == general[name].makespan, name
+        assert fast[name].server_busy == general[name].server_busy, name
+    assert speedup >= 2.0, f"closed-loop fast route only {speedup:.2f}x faster"
+
+
 def test_perf_schedule_many(benchmark):
     """Bulk event insertion vs one million timeout events.
 

@@ -15,6 +15,7 @@ figure-style table.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol
 
@@ -29,6 +30,7 @@ from repro.middleware.mpi_sim import SimMPI
 from repro.middleware.mpiio import MPIIOFile
 from repro.network.link import NetworkModel
 from repro.obs.tracer import EventTracer, ObsSnapshot, collect_snapshot, tracing_enabled
+from repro.pfs.batch import RequestBatch
 from repro.pfs.filesystem import HybridPFS
 from repro.pfs.layout import LayoutPolicy
 from repro.pfs.mds_cluster import MetadataCluster, MetadataUnavailable
@@ -414,6 +416,15 @@ def run_workload(
     acknowledges replicated writes at ``k`` durable copies. Both default off
     and leave fault-free runs byte-identical to builds without them; the
     outcome rides back in ``RunResult.durability``.
+
+    A workload whose rank program is the closed loop of its
+    ``request_batch()`` (``closed_loop = True``: IOR at any queue depth,
+    the synthetic region workload) is replayed on the event-heap tier of
+    :mod:`repro.pfs.batch_exec` instead of running its rank programs —
+    bit-identical, without a process per request. Checked in order: no
+    IOSIG ``collector``, no ``REPRO_BATCH_FAST=0``, then
+    :func:`~repro.pfs.batch_exec.fast_path_blocker`; the first refusal is
+    counted in ``pfs.batch_fallbacks`` and the rank programs run as before.
     """
     run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
     world, mf = run.open(
@@ -423,10 +434,39 @@ def run_workload(
         collector,
         n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
     )
-    run.run(world.spawn(workload.rank_program(mf)))
+    batch = _closed_loop_batch(run.pfs, mf.handle, workload, collector)
+    if batch is not None:
+        run.run(mf.handle.replay(batch))
+    else:
+        run.run(world.spawn(workload.rank_program(mf)))
     if layout_name is None:
         layout_name = mf.handle.layout.describe()
     return run.result(layout_name, workload_bytes(workload))
+
+
+def _closed_loop_batch(pfs, handle, workload, collector) -> RequestBatch | None:
+    """The workload's closed-loop batch if the fast path may replay it, else None.
+
+    A refusal (a workload without a closed-loop form is not one) counts as
+    a general-path batch under its reason, like a batch submission's.
+    """
+    if not getattr(workload, "closed_loop", False):
+        return None
+    from repro.pfs.batch_exec import fast_path_blocker
+
+    batch = workload.request_batch()
+    if collector is not None:
+        reason = "collector"  # The collector records per rank-program call.
+    elif os.environ.get("REPRO_BATCH_FAST", "1") == "0":
+        reason = "disabled"
+    else:
+        reason = fast_path_blocker(handle, batch)
+        if reason is None:
+            return batch
+    pfs.batch_stats["general_batches"] += 1
+    pfs.batch_stats["general_requests"] += len(batch)
+    pfs.batch_fallbacks[reason] = pfs.batch_fallbacks.get(reason, 0) + 1
+    return None
 
 
 def run_workload_batched(
@@ -448,7 +488,8 @@ def run_workload_batched(
 
     ``workload`` is either a :class:`~repro.pfs.batch.RequestBatch` or any
     workload object exposing ``request_batch()`` (all five generators do).
-    The whole batch is submitted through the middleware in one call, so the
+    The whole batch is submitted open loop (any closed-loop ``ranks`` and
+    ``depth`` columns are ignored) through the middleware in one call, so the
     run takes the arithmetic fast path of :mod:`repro.pfs.batch_exec`
     whenever eligible — tracing, fault schedules, a retry policy, rebuild or
     quorum writes push it onto the general per-request path automatically
@@ -460,8 +501,6 @@ def run_workload_batched(
     ``batch_fallbacks`` (per-reason general-path counts), and
     ``subrequests`` (total sub-requests served across all servers).
     """
-    from repro.pfs.batch import RequestBatch
-
     batch = workload if isinstance(workload, RequestBatch) else workload.request_batch()
     run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
     _, mf = run.open(1, layout, file_name, collector)

@@ -11,6 +11,12 @@ vectorized :func:`repro.pfs.mapping.decompose_batch` pass, and
 :meth:`repro.pfs.filesystem.PFSFile.request_batch` can drive the batched
 execution fast path without per-request object churn.
 
+An optional ``ranks`` column plus a window ``depth`` turn the batch into
+the closed-loop description of a rank program (barrier, each rank's stream
+at queue depth ``depth``, barrier), which
+:func:`repro.experiments.harness.run_workload` replays on the event-heap
+tier in place of the rank programs.
+
 Batches are value objects: treat the arrays as immutable after
 construction (they are shared, not copied, to keep million-request batches
 cheap to pass around).
@@ -50,12 +56,26 @@ class RequestBatch:
             seconds **relative to the submission instant** (>= 0). ``None``
             means every request is issued at the submission instant — the
             historical ``request_many`` behaviour.
+        ranks: optional int64 column naming the MPI rank that issues each
+            request. Setting it describes the *closed-loop* rank program
+            the batch came from — a start barrier, then each rank keeping
+            at most ``depth`` of its own requests in flight, then an end
+            barrier — instead of an open-loop submission. The column must
+            be nondecreasing (rank-major, each rank's requests in issue
+            order), every size must be >= 1, and ``issue_times`` must be
+            None. ``None`` (the default) is the open-loop batch.
+        depth: closed-loop window: requests one rank keeps in flight
+            (>= 1). Request k of a rank becomes ready once request k-1 was
+            issued and request k-depth completed. Ignored when ``ranks`` is
+            None.
     """
 
     offsets: np.ndarray
     sizes: np.ndarray
     is_read: np.ndarray
     issue_times: np.ndarray | None = None
+    ranks: np.ndarray | None = None
+    depth: int = 1
 
     def __post_init__(self) -> None:
         self.offsets = _as_column(self.offsets, np.int64, "offsets")
@@ -81,6 +101,18 @@ class RequestBatch:
                 raise ValueError("issue_times must be finite")
             if n and self.issue_times.min() < 0:
                 raise ValueError("issue_times must be >= 0 (relative to submission)")
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.ranks is not None:
+            self.ranks = _as_column(self.ranks, np.int64, "ranks")
+            if self.ranks.shape[0] != n:
+                raise ValueError(f"ranks has {self.ranks.shape[0]} entries, expected {n}")
+            if self.issue_times is not None:
+                raise ValueError("a closed-loop batch (ranks set) cannot carry issue_times")
+            if n and (np.diff(self.ranks) < 0).any():
+                raise ValueError("ranks must be nondecreasing (rank-major batch)")
+            if n and self.sizes.min() < 1:
+                raise ValueError("closed-loop requests must move at least one byte")
 
     # -- construction -------------------------------------------------------
 
@@ -138,6 +170,12 @@ class RequestBatch:
         """Summed request sizes."""
         return int(self.sizes.sum()) if len(self) else 0
 
+    def open_loop(self) -> "RequestBatch":
+        """This batch without its closed-loop columns (self if it has none)."""
+        if self.ranks is None:
+            return self
+        return RequestBatch(offsets=self.offsets, sizes=self.sizes, is_read=self.is_read)
+
     @property
     def single_op(self) -> OpType | None:
         """The batch's operation when uniform, else None."""
@@ -182,10 +220,15 @@ class RequestBatch:
             sizes=self.sizes[key],
             is_read=self.is_read[key],
             issue_times=None if self.issue_times is None else self.issue_times[key],
+            ranks=None if self.ranks is None else self.ranks[key],
+            depth=self.depth,
         )
 
     def __repr__(self) -> str:
-        timed = "timed" if self.issue_times is not None else "untimed"
+        if self.ranks is not None:
+            timed = f"closed-loop depth={self.depth}"
+        else:
+            timed = "timed" if self.issue_times is not None else "untimed"
         return (
             f"RequestBatch(n={len(self)}, bytes={self.total_bytes}, "
             f"op={self.single_op.value if self.single_op else 'mixed'}, {timed})"

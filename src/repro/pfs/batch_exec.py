@@ -32,8 +32,8 @@ cascade *hop for hop*:
   tier by calling the real device model's ``service_time``, the columnar
   tier with bitwise-identical vectorized draws — so per-device RNG streams
   advance exactly as the general path would consume them;
-- utilization deltas accumulate per resource in closure order and apply to
-  the live monitors afterwards, preserving float-summation order.
+- utilization accumulates per resource in closure order, seeded with the
+  live monitor's total, preserving float-summation order.
 
 The result — completion times, busy times, byte counters, RNG states,
 checksum tag tables — is therefore byte-identical to spawning one process
@@ -47,6 +47,16 @@ the timing replay (tag stamping is idempotent and order-independent, and
 with no poisoned stripe units a verification can neither mismatch nor
 alter timing). A filesystem with *poisoned* units falls back, since reads
 could then raise mid-flight.
+
+**Closed loop.** A batch with a ``ranks`` column describes a rank program —
+start barrier, each rank keeping at most ``depth`` of its own requests in
+flight (MPI_Wait on the oldest), end barrier — rather than an open-loop
+submission. The event-heap tier replays it with one extra rule: a request
+completion pushes the zero-delay hops the general path takes before the
+rank issues again (:class:`_Windows`), so arrivals follow completions hop
+for hop. Dispatch order, and with it extent first-touch order, is then only
+known as the replay runs, so extent bases are allocated lazily at the
+dispatch hop. The columnar tier declines closed-loop batches.
 
 Because the replay assumes undisturbed FIFO service, it must only run when
 the simulation is *quiescent* and no resilience machinery can fire:
@@ -82,6 +92,8 @@ _NIC_GRANT = 4  # NIC flow slot grant firing
 _NIC_DONE = 5  # NIC transfer timeout maturing
 _DISK_GRANT = 6  # disk slot grant firing
 _DISK_DONE = 7  # disk service timeout maturing
+_HOP = 8  # closed loop: one zero-delay hop between a completion and its rank resuming
+_DELAY = 9  # closed loop: a sharded consult's ring-hop timer
 
 
 @dataclass
@@ -110,6 +122,12 @@ class _JobSet:
     Replica mirror writes are expanded into ordinary jobs (each right after
     its primary, matching the general path's spawn order) and ``offset`` is
     physical (extent base applied). Requests stay contiguous.
+
+    With lazy extents (closed loop), ``offset`` is extent-relative until the
+    replay has filled ``extent_bases`` (one slot per distinct extent,
+    ``-1`` until first touched; ``extent_args`` are its ``_extent_base``
+    arguments and ``extent_key`` maps each job to its slot) and
+    :meth:`apply_extents` has run.
     """
 
     req: np.ndarray  # int64 batch index
@@ -118,15 +136,25 @@ class _JobSet:
     size: np.ndarray  # int64 bytes
     is_write: np.ndarray  # bool
     n_mirror: int  # how many jobs are replica mirror writes
+    extent_key: np.ndarray | None = None
+    extent_args: list | None = None
+    extent_bases: list | None = None
+
+    def apply_extents(self) -> None:
+        """Make lazily based offsets physical once every extent is allocated."""
+        if self.extent_bases is not None and self.offset.shape[0]:
+            bases = np.asarray(self.extent_bases, dtype=np.int64)
+            self.offset = self.offset + bases[self.extent_key]
 
 
 class _ServerReplay:
     """Shadow FIFO state of one :class:`FileServer` during a heap replay.
 
     Mirrors ``Resource`` semantics: grants are issued synchronously (state
-    updated at issue time), the grant *fire* is the heap tuple. Busy-time
-    deltas collect per closed interval and are applied to the live monitors
-    in order at the end of the replay.
+    updated at issue time), the grant *fire* is the heap tuple. Busy time
+    accumulates per closed interval onto a copy of the live monitor's
+    total — the general path's ``+=`` sequence, bit for bit — and is written
+    back at the end of the replay.
     """
 
     __slots__ = (
@@ -137,12 +165,12 @@ class _ServerReplay:
         "nic_in_use",
         "nic_queue",
         "nic_since",
-        "nic_deltas",
+        "nic_busy",
         "nic_granted",
         "disk_in_use",
         "disk_queue",
         "disk_since",
-        "disk_deltas",
+        "disk_busy",
         "disk_granted",
         "bytes_served",
         "subrequests",
@@ -156,15 +184,114 @@ class _ServerReplay:
         self.nic_in_use = 0
         self.nic_queue = deque()
         self.nic_since = 0.0
-        self.nic_deltas = []
+        self.nic_busy = server.nic.monitor.busy_time
         self.nic_granted = 0
         self.disk_in_use = 0
         self.disk_queue = deque()
         self.disk_since = 0.0
-        self.disk_deltas = []
+        self.disk_busy = server.disk.monitor.busy_time
         self.disk_granted = 0
         self.bytes_served = 0
         self.subrequests = 0
+
+
+class _Windows:
+    """Per-rank issue windows of a closed-loop replay.
+
+    Mirrors ``IORWorkload.rank_program``: after the start barrier a rank
+    issues requests until ``depth`` are in flight, then waits on its oldest
+    (MPI_Wait); once all are issued it waits on the rest in order. A
+    request that completed lets its rank go on only after the zero-delay
+    hops the general path takes from the last sub-request's service end:
+    the sub-request process exits and the request's ``AllOf`` fires — at
+    depth 1 the rank serves inline (``serve_inline``) and its next consult
+    starts at that ``AllOf`` hop; deeper windows run each request as its
+    own process (``iread_at``/``iwrite_at``), whose exit is one more hop,
+    and each newly issued request starts one bootstrap hop later. So a
+    completion pushes ``hops`` ``_HOP`` tuples, and the last one's pop runs
+    :meth:`resume`, which hands back the issued requests' consult-start
+    tuples. ``delays`` (sharded cluster) puts a ring-hop timer (``_DELAY``)
+    in front of each consult that needs one, numbered in consult order.
+    """
+
+    __slots__ = (
+        "depth",
+        "hops",
+        "rank_of",
+        "next",
+        "end",
+        "oldest",
+        "waiting",
+        "done",
+        "started",
+        "delays",
+        "consults",
+    )
+
+    def __init__(self, batch, t0: float, delays: list | None):
+        ranks = batch.ranks
+        n = len(batch)
+        starts = np.flatnonzero(np.concatenate(([True], ranks[1:] != ranks[:-1])))
+        ends = np.append(starts[1:], n)
+        self.depth = batch.depth
+        self.hops = 1 if batch.depth == 1 else 3
+        self.rank_of = np.repeat(np.arange(starts.shape[0]), ends - starts).tolist()
+        self.next = starts.tolist()  # next request each rank issues
+        self.end = ends.tolist()
+        self.oldest = starts.tolist()  # next request each rank waits on
+        self.waiting = [-1] * starts.shape[0]  # request each rank waits on
+        self.done = [False] * n  # request process exit has fired
+        self.started = [t0] * n  # consult-start instants
+        self.delays = delays
+        self.consults = 0
+
+    def start(self, t: float) -> list:
+        """Consult-start tuples of the first wave, released at ``t`` in rank order.
+
+        They are all due at ``t`` in sequence order, so the list is a heap.
+        """
+        entries = []
+        for r in range(len(self.next)):
+            entries += self._advance(r, t, len(entries), stamp=False)
+        return entries
+
+    def resume(self, i: int, t: float, seq: int) -> list:
+        """Request ``i``'s exit fired at ``t``: resume its rank if it waited on ``i``."""
+        self.done[i] = True
+        r = self.rank_of[i]
+        if self.waiting[r] != i:
+            return []
+        return self._advance(r, t, seq, stamp=True)
+
+    def _advance(self, r: int, t: float, seq: int, stamp: bool) -> list:
+        k, end, w = self.next[r], self.end[r], self.oldest[r]
+        depth, done, delays = self.depth, self.done, self.delays
+        entries = []
+        while True:
+            if k < end:
+                if stamp:
+                    self.started[k] = t
+                dly = 0.0
+                if delays is not None:
+                    dly = delays[self.consults]
+                    self.consults += 1
+                if dly:
+                    entries.append((t, seq, _DELAY, (k, dly)))
+                else:
+                    entries.append((t, seq, _ARRIVE, k))
+                seq += 1
+                k += 1
+                if k - w < depth:
+                    continue  # window not full: issue the next one too
+            if w == end:  # waited on everything: at the end barrier
+                self.waiting[r] = -1
+                break
+            w += 1
+            if not done[w - 1]:
+                self.waiting[r] = w - 1
+                break
+        self.next[r], self.oldest[r] = k, w
+        return entries
 
 
 def fast_path_blocker(handle, batch=None) -> str | None:
@@ -273,8 +400,12 @@ def _arrivals(batch, t0: float) -> tuple[np.ndarray, np.ndarray | None]:
     consulting the MDS. Hence arrival *ties* at ``t0`` resolve with all
     zero-delay requests (bootstrap hop only) ahead of all delayed ones
     (timeout hop), each group in batch order. ``None`` for the order means
-    batch order (untimed batch).
+    batch order (untimed batch). A closed-loop batch has no arrival
+    schedule — its requests arrive as earlier ones complete — and gets
+    ``(None, None)``.
     """
+    if batch.ranks is not None:
+        return None, None
     n = len(batch)
     issue = batch.issue_times
     if issue is None:
@@ -306,6 +437,12 @@ class _MdsPlan:
     - ``"hit"``: the cache already holds a current-generation entry —
       every request spawns at its own arrival, zero MDS load;
     - ``"empty"``: zero-request batch, nothing to do.
+
+    A closed-loop batch has no arrival schedule, so its plan leaves the
+    per-request instants and orders ``None``: ``release`` is when its first
+    wave (each rank's first window) enters the MDS stage — or, in fill
+    mode, spawns — and ``entry_delays`` gives each consult's ring-hop delay
+    in consult order under a sharded cluster.
     """
 
     mode: str
@@ -330,6 +467,8 @@ class _MdsPlan:
     n_consults: int = 0
     n_coalesced: int = 0
     n_hits: int = 0
+    release: float = 0.0
+    entry_delays: list | None = None
 
 
 def _plan_mds(
@@ -341,12 +480,18 @@ def _plan_mds(
     the tie classes whose general-path order would depend on event
     sequence numbers, and :func:`replay_batch` calls it again (on the
     unchanged quiescent state) to drive the replay.
+
+    Closed-loop batches (``arrival_times`` None) never bail: the heap replay
+    runs their ring-hop timers as real heap entries, and every request
+    after the first wave arrives behind a completion — strictly after any
+    cache fill, since serving a sub-request takes positive time.
     """
     pfs = handle.pfs
     mds = pfs.mds
     n = len(batch)
     if n == 0:
         return _MdsPlan(mode="empty"), None
+    closed = arrival_times is None
     cluster = mds if hasattr(mds, "crash_shard") else None
     lookup = mds.lookup_time(handle.layout.region_count())
     cache = pfs.mds_cache
@@ -355,15 +500,17 @@ def _plan_mds(
             return (
                 _MdsPlan(
                     mode="hit",
-                    spawn_times=arrival_times.copy(),
+                    spawn_times=None if closed else arrival_times.copy(),
                     dispatch_order=arrival_order,
                     n_hits=n,
+                    release=t0,
                 ),
                 None,
             )
         # Miss: the first arrival leads the one real consult; it finds the
         # (idle, the blocker's guarantee) service immediately.
         leader = int(arrival_order[0]) if arrival_order is not None else 0
+        t_arrive = t0 if closed else float(arrival_times[leader])
         leader_hops = 0
         owner = None
         service = mds._service if cluster is None else None
@@ -373,26 +520,38 @@ def _plan_mds(
             leader_hops, home = cluster.ring.route(entry, handle.name, cluster.routing)
             owner = cluster.shards[home]
             service = owner._service
-        t_enter = float(arrival_times[leader])
+        t_enter = t_arrive
         if cluster is not None and leader_hops and cluster.hop_latency > 0:
             t_enter = t_enter + leader_hops * cluster.hop_latency
         t_fill = t_enter + lookup if lookup > 0 else t_enter
-        # An arrival at exactly the fill instant resolves by event sequence
-        # numbers (hit vs. coalesced wait) — not replayed arithmetically.
-        ties = int(np.count_nonzero(arrival_times == t_fill))
-        if t_fill == arrival_times[leader]:
-            ties -= 1  # the leader itself (zero-cost consult)
-        if ties:
-            return None, "mds-fill-tie"
-        n_coalesced = int(np.count_nonzero(arrival_times < t_fill))
-        if arrival_times[leader] < t_fill:
-            n_coalesced -= 1
+        if closed:
+            # The rest of the first wave looks the file up at t0 right behind
+            # the leader: it coalesces onto the fill, or — when the leader's
+            # consult returned inline (t_fill == t0) — already hits.
+            wave = _first_wave(batch)
+            n_coalesced = wave - 1 if t_fill > t0 else 0
+            spawn_times = None
+            n_hits = n - 1 - n_coalesced
+        else:
+            # An arrival at exactly the fill instant resolves by event
+            # sequence numbers (hit vs. coalesced wait) — not replayed
+            # arithmetically.
+            ties = int(np.count_nonzero(arrival_times == t_fill))
+            if t_fill == t_arrive:
+                ties -= 1  # the leader itself (zero-cost consult)
+            if ties:
+                return None, "mds-fill-tie"
+            n_coalesced = int(np.count_nonzero(arrival_times < t_fill))
+            if t_arrive < t_fill:
+                n_coalesced -= 1
+            spawn_times = np.where(arrival_times > t_fill, arrival_times, t_fill)
+            n_hits = int(np.count_nonzero(arrival_times > t_fill))
         return (
             _MdsPlan(
                 mode="fill",
                 lookup=lookup,
                 service=service,
-                spawn_times=np.where(arrival_times > t_fill, arrival_times, t_fill),
+                spawn_times=spawn_times,
                 dispatch_order=arrival_order,
                 cluster=cluster,
                 owner=owner,
@@ -401,7 +560,8 @@ def _plan_mds(
                 leader_busy=t_fill - t_enter,
                 n_consults=1,
                 n_coalesced=n_coalesced,
-                n_hits=int(np.count_nonzero(arrival_times > t_fill)),
+                n_hits=n_hits,
+                release=t_fill,
             ),
             None,
         )
@@ -415,6 +575,7 @@ def _plan_mds(
                 entry_order=arrival_order,
                 dispatch_order=arrival_order,
                 n_consults=n,
+                release=t0,
             ),
             None,
         )
@@ -435,9 +596,14 @@ def _plan_mds(
     hops_max = int(hops_by_rank.max())
     entry_times = arrival_times
     entry_order = arrival_order
+    entry_delays = None
     if cluster.hop_latency > 0 and hops_max > 0:
         delay = hops_by_rank * cluster.hop_latency
-        if arrival_order is None:
+        if closed:
+            # Consults are numbered as they start, so the k-th consult's
+            # delay is known; when it starts is up to the replay.
+            entry_delays = delay.tolist()
+        elif arrival_order is None:
             # Untimed batch: hop timers are all scheduled at t0 in batch
             # order, so equal entry instants resolve in batch order — which
             # is exactly what a stable sort preserves.
@@ -471,9 +637,17 @@ def _plan_mds(
             hops_total=int(hops_by_rank.sum()),
             hops_max=hops_max,
             n_consults=n,
+            release=t0,
+            entry_delays=entry_delays,
         ),
         None,
     )
+
+
+def _first_wave(batch) -> int:
+    """How many requests a closed-loop batch issues at its start barrier."""
+    _, counts = np.unique(batch.ranks, return_counts=True)
+    return int(np.minimum(counts, batch.depth).sum())
 
 
 def _commit_mds(pfs, handle, plan: _MdsPlan) -> None:
@@ -534,7 +708,12 @@ def replay_batch(handle, batch, flat: FlatPresplit) -> tuple[np.ndarray, float, 
     if plan is None:
         raise RuntimeError(f"replay_batch without fast-path pre-flight: {reason}")
 
-    jobs = _materialize(handle, batch, flat, plan.dispatch_order)
+    # Closed loop: the rank windows drive arrivals, and extents are based
+    # lazily, in the dispatch order the replay discovers.
+    windows = None if batch.ranks is None else _Windows(batch, t0, plan.entry_delays)
+    jobs = _materialize(
+        handle, batch, flat, plan.dispatch_order, lazy_extents=windows is not None
+    )
 
     completion = None
     used_columnar = False
@@ -545,9 +724,12 @@ def replay_batch(handle, batch, flat: FlatPresplit) -> tuple[np.ndarray, float, 
         )
         used_columnar = completion is not None
     if completion is None:
-        completion = _replay_heap(pfs, handle, batch, jobs, plan)
+        completion = _replay_heap(pfs, handle, batch, jobs, plan, windows)
+    if windows is not None:
+        arrival_times = np.asarray(windows.started, dtype=np.float64)
 
     # Shared (timing-independent) commits.
+    jobs.apply_extents()
     _commit_mds(pfs, handle, plan)
     if jobs.n_mirror:
         pfs.integrity.mirrored_writes += jobs.n_mirror
@@ -563,7 +745,9 @@ def replay_batch(handle, batch, flat: FlatPresplit) -> tuple[np.ndarray, float, 
     return completion - arrival_times, t_end, int(jobs.req.shape[0]), used_columnar
 
 
-def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
+def _materialize(
+    handle, batch, flat: FlatPresplit, dispatch_order, lazy_extents: bool = False
+) -> _JobSet:
     """Expand a flat presplit into the replay's physical job table.
 
     Reorders sub-requests into MDS-dispatch order (the order requests exit
@@ -572,7 +756,8 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
     them via :meth:`ParallelFileSystem.replica_target`, and assigns extent
     bases in first-occurrence order — the exact ``_extent_base`` call
     sequence the general path would issue, so first-touch allocation
-    matches.
+    matches. With ``lazy_extents`` (dispatch order unknown up front) the
+    bases are left for the replay to allocate; see :class:`_JobSet`.
     """
     pfs = handle.pfs
     req = flat.req
@@ -631,6 +816,7 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
             n_jobs = req.shape[0]
 
     # Extent bases, allocated in first-occurrence (= materialization) order.
+    extent_key = extent_args = extent_bases = None
     if n_jobs:
         copy_vals = (
             copy_no if copy_no is not None else np.zeros(n_jobs, dtype=np.int64)
@@ -638,15 +824,20 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
         region_span = int(region.max()) + 1
         key = (copy_vals * region_span + region) * pfs.n_servers + server
         uniq, first_at, inv = np.unique(key, return_index=True, return_inverse=True)
-        bases = np.empty(uniq.shape[0], dtype=np.int64)
         extent_ns = f"{handle.name}#g{handle.layout_generation}"
-        extent_base = pfs._extent_base
-        for u in np.argsort(first_at, kind="stable").tolist():
-            j = int(first_at[u])
+        args = []
+        for j in first_at.tolist():
             copy = int(copy_vals[j])
             ns = extent_ns if copy == 0 else f"{extent_ns}~r{copy}"
-            bases[u] = extent_base(ns, int(region[j]), int(server[j]))
-        offset = offset + bases[inv]
+            args.append((ns, int(region[j]), int(server[j])))
+        if lazy_extents:
+            extent_key, extent_args, extent_bases = inv.reshape(-1), args, [-1] * len(args)
+        else:
+            bases = np.empty(uniq.shape[0], dtype=np.int64)
+            extent_base = pfs._extent_base
+            for u in np.argsort(first_at, kind="stable").tolist():
+                bases[u] = extent_base(*args[u])
+            offset = offset + bases[inv]
 
     return _JobSet(
         req=req,
@@ -655,6 +846,9 @@ def _materialize(handle, batch, flat: FlatPresplit, dispatch_order) -> _JobSet:
         size=size,
         is_write=is_write,
         n_mirror=n_mirror,
+        extent_key=extent_key,
+        extent_args=extent_args,
+        extent_bases=extent_bases,
     )
 
 
@@ -699,7 +893,55 @@ def _commit_integrity(pfs, jobs: _JobSet) -> None:
                 tags[block] = expected(block)
 
 
-def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarray:
+class _LazyJobs:
+    """Closed loop: per-request job lists built at the dispatch hop.
+
+    Indexing by request returns a generator that the dispatch hop iterates:
+    it builds the job tuples only then and allocates extents on first touch
+    — the general path's ``_extent_base`` call order, discovered as the
+    replay runs. Nothing per job is held before its request dispatches,
+    which keeps the replay's memory near the rank programs' own.
+    """
+
+    __slots__ = ("starts", "states", "columns", "bases", "args", "extent_base")
+
+    def __init__(self, jobs: _JobSet, counts: np.ndarray, states: dict, extent_base):
+        self.starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.states = states
+        self.columns = (
+            jobs.server.tolist(),
+            jobs.is_write.tolist(),
+            jobs.offset.tolist(),
+            jobs.size.tolist(),
+            jobs.extent_key.tolist(),
+        )
+        self.bases = jobs.extent_bases
+        self.args = jobs.extent_args
+        self.extent_base = extent_base
+
+    def __getitem__(self, i: int):
+        server, is_write, offset, size, key = self.columns
+        bases = self.bases
+        states = self.states
+        for k in range(self.starts[i], self.starts[i + 1]):
+            slot = key[k]
+            base = bases[slot]
+            if base < 0:
+                base = bases[slot] = self.extent_base(*self.args[slot])
+            write = is_write[k]
+            yield (
+                states[server[k]],
+                write,
+                OpType.WRITE if write else OpType.READ,
+                offset[k] + base,
+                size[k],
+                i,
+            )
+
+
+def _replay_heap(
+    pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan, windows: _Windows | None = None
+) -> np.ndarray:
     """Event-heap tier: replay the materialized jobs tuple by tuple.
 
     Exact for any batch shape the blocker admits (mixed ops, varying NIC
@@ -710,6 +952,10 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
     request's sub-jobs at its planned spawn instant. Commits resource
     monitors/counters; returns absolute per-request completion times in
     batch order.
+
+    ``windows`` (closed loop) replaces the planned instants: the first wave
+    enters at ``plan.release`` and every later request when its rank's
+    window frees up, after the completion hops ``windows`` accounts for.
     """
     n = len(batch)
     is_read_col = batch.is_read
@@ -730,13 +976,17 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
         mds_cap = 0
         entry_t = plan.spawn_times
         order = plan.dispatch_order
-    if n == 0:
-        entry_t = np.zeros(0, dtype=np.float64)
+    if n == 0 or windows is not None:
+        entry_t = np.zeros(n, dtype=np.float64)
 
     # ``entry_t[order]`` is nondecreasing, so the tuple list is already a
     # valid heap; the rank doubles as the tie-breaking sequence number,
     # reproducing the general path's same-instant resume order.
-    if order is None:
+    hops = 0
+    if windows is not None:  # closed loop: the start barrier's first wave
+        heap = windows.start(plan.release)
+        hops = windows.hops
+    elif order is None:
         times = entry_t.tolist()
         heap = [(times[k], k, _ARRIVE, k) for k in range(n)]
     else:
@@ -745,45 +995,53 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
             (times[r], r, _ARRIVE, int(i)) for r, i in enumerate(order.tolist())
         ]
 
-    # Build per-request job lists from the flat table (requests are
-    # contiguous in it, in dispatch order).
     states: dict[int, _ServerReplay] = {}
     servers = pfs.servers
-    jobs_by_request: list[list | None] = [None] * n
-    req_list = jobs.req.tolist()
-    server_list = jobs.server.tolist()
-    offset_list = jobs.offset.tolist()
-    size_list = jobs.size.tolist()
-    write_list = jobs.is_write.tolist()
-    current: list | None = None
-    prev_req = -1
-    for k in range(len(req_list)):
-        i = req_list[k]
-        if i != prev_req:
-            current = jobs_by_request[i] = []
-            prev_req = i
-        sid = server_list[k]
-        ss = states.get(sid)
-        if ss is None:
-            ss = states[sid] = _ServerReplay(servers[sid])
-        is_write = write_list[k]
-        # job = (server state, is_write, op, physical offset, size,
-        #        batch index)
-        current.append(
-            (ss, is_write, write_op if is_write else read_op, offset_list[k], size_list[k], i)
-        )
-    for i in range(n):
-        if jobs_by_request[i] is None:
-            jobs_by_request[i] = []
-
-    remaining = [len(job_list) for job_list in jobs_by_request]
     completion = entry_t.copy()
+    if jobs.extent_bases is not None:
+        counts = np.bincount(jobs.req, minlength=n)
+        if n and not counts.min():
+            raise RuntimeError("closed-loop replay of a request with no sub-requests")
+        for sid in np.unique(jobs.server).tolist():
+            states[sid] = _ServerReplay(servers[sid])
+        jobs_by_request = _LazyJobs(jobs, counts, states, pfs._extent_base)
+        remaining = counts.tolist()
+    else:
+        # Build per-request job lists from the flat table (requests are
+        # contiguous in it, in dispatch order).
+        jobs_by_request: list[list | None] = [None] * n
+        req_list = jobs.req.tolist()
+        server_list = jobs.server.tolist()
+        offset_list = jobs.offset.tolist()
+        size_list = jobs.size.tolist()
+        write_list = jobs.is_write.tolist()
+        current: list | None = None
+        prev_req = -1
+        for k in range(len(req_list)):
+            i = req_list[k]
+            if i != prev_req:
+                current = jobs_by_request[i] = []
+                prev_req = i
+            sid = server_list[k]
+            ss = states.get(sid)
+            if ss is None:
+                ss = states[sid] = _ServerReplay(servers[sid])
+            is_write = write_list[k]
+            # job = (server state, is_write, op, physical offset, size,
+            #        batch index)
+            current.append(
+                (ss, is_write, write_op if is_write else read_op, offset_list[k], size_list[k], i)
+            )
+        for i in range(n):
+            if jobs_by_request[i] is None:
+                jobs_by_request[i] = []
+        remaining = [len(job_list) for job_list in jobs_by_request]
 
     # Shadow MDS service state (same Resource semantics as the servers').
     m_in_use = 0
     m_queue: deque = deque()
     m_since = 0.0
-    m_deltas: list[float] = []
+    m_busy = service.monitor.busy_time if service is not None else 0.0
     m_granted = 0
 
     seq = len(heap)
@@ -808,7 +1066,7 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
             ss = payload[0]
             ss.nic_in_use -= 1
             if ss.nic_in_use == 0:
-                ss.nic_deltas.append(t - ss.nic_since)
+                ss.nic_busy += t - ss.nic_since
             if ss.nic_queue:
                 waiter = ss.nic_queue.popleft()
                 if ss.nic_in_use == 0:
@@ -833,10 +1091,13 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
                 remaining[i] -= 1
                 if not remaining[i]:
                     completion[i] = t
+                    if hops:
+                        push(heap, (t, seq, _HOP, (i, hops)))
+                        seq += 1
         elif kind == _DISK_DONE:
             ss = payload[0]
             ss.disk_in_use = 0
-            ss.disk_deltas.append(t - ss.disk_since)
+            ss.disk_busy += t - ss.disk_since
             if ss.disk_queue:
                 waiter = ss.disk_queue.popleft()
                 ss.disk_since = t
@@ -851,6 +1112,9 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
                 remaining[i] -= 1
                 if not remaining[i]:
                     completion[i] = t
+                    if hops:
+                        push(heap, (t, seq, _HOP, (i, hops)))
+                        seq += 1
             else:  # read: NIC stage next
                 if ss.nic_in_use < ss.nic_cap and not ss.nic_queue:
                     if ss.nic_in_use == 0:
@@ -888,7 +1152,7 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
         elif kind == _MDS_EXIT:
             m_in_use -= 1
             if m_in_use == 0:
-                m_deltas.append(t - m_since)
+                m_busy += t - m_since
             if m_queue:
                 nxt = m_queue.popleft()
                 if m_in_use == 0:
@@ -904,6 +1168,18 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
                     seq += 1
             else:
                 completion[payload] = t
+        elif kind == _HOP:
+            i, left = payload
+            if left > 1:
+                push(heap, (t, seq, _HOP, (i, left - 1)))
+                seq += 1
+            else:
+                for entry in windows.resume(i, t, seq):
+                    push(heap, entry)
+                    seq += 1
+        elif kind == _DELAY:
+            push(heap, (t + payload[1], seq, _ARRIVE, payload[0]))
+            seq += 1
         else:  # _ARRIVE
             if mds_enabled:
                 if m_in_use < mds_cap and not m_queue:
@@ -924,26 +1200,19 @@ def _replay_heap(pfs, handle, batch, jobs: _JobSet, plan: _MdsPlan) -> np.ndarra
                 else:
                     completion[payload] = t
 
-    # Fold the shadow state back into the live components. Busy-time deltas
-    # apply per resource in interval-closure order — float summation order
-    # matches the general path's monitor arithmetic.
+    # Fold the shadow state back into the live components. Busy times were
+    # summed in interval-closure order from the live totals, so the float
+    # summation order matches the general path's monitor arithmetic.
     for ss in states.values():
         server = ss.server
-        nic_monitor = server.nic.monitor
-        for delta in ss.nic_deltas:
-            nic_monitor.busy_time += delta
+        server.nic.monitor.busy_time = ss.nic_busy
         server.nic.granted_count += ss.nic_granted
-        disk_monitor = server.disk.monitor
-        for delta in ss.disk_deltas:
-            disk_monitor.busy_time += delta
+        server.disk.monitor.busy_time = ss.disk_busy
         server.disk.granted_count += ss.disk_granted
         server.bytes_served += ss.bytes_served
         server.subrequests_served += ss.subrequests
-    if service is not None and m_deltas:
-        service_monitor = service.monitor
-        for delta in m_deltas:
-            service_monitor.busy_time += delta
     if service is not None:
+        service.monitor.busy_time = m_busy
         service.granted_count += m_granted
 
     return completion

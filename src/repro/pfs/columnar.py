@@ -313,8 +313,12 @@ def _fold_busy(monitor, deltas: np.ndarray) -> None:
 
 
 def eligible(pfs, batch) -> bool:
-    """Static columnar preconditions (cheap; dynamic ones bail at run time)."""
-    if batch.single_op is None or len(batch) == 0:
+    """Static columnar preconditions (cheap; dynamic ones bail at run time).
+
+    Closed-loop batches are declined: their arrivals depend on completions,
+    which no prefix recurrence over a fixed entry order can express.
+    """
+    if batch.single_op is None or len(batch) == 0 or batch.ranks is not None:
         return False
     for server in pfs.servers:
         if type(server.device) not in (HDDModel, SSDModel):

@@ -292,10 +292,14 @@ class PFSFile:
         environment) it transparently spawns one process per request
         exactly like :meth:`request_many`.
 
+        Submission is open loop: a closed-loop batch's ``ranks`` and
+        ``depth`` columns are ignored here (see :meth:`replay`).
+
         Typical use drains the whole batch: ``sim.run(handle.request_batch(b))``.
         """
-        from repro.pfs.batch_exec import fast_path_blocker, replay_batch
+        from repro.pfs.batch_exec import fast_path_blocker
 
+        batch = batch.open_loop()
         sim = self.pfs.sim
         stats = self.pfs.batch_stats
         n = len(batch)
@@ -305,17 +309,9 @@ class PFSFile:
             reason = "disabled"
         else:
             reason = fast_path_blocker(self, batch)
-        done = sim.event()
         if reason is None:
-            flat = self._presplit_flat(batch)
-            elapsed, t_end, n_subrequests, used_columnar = replay_batch(self, batch, flat)
-            sim.schedule_many([(done, elapsed, t_end)], absolute=True)
-            stats["fast_batches"] += 1
-            if used_columnar:
-                stats["fast_columnar_batches"] += 1
-            stats["fast_requests"] += n
-            stats["fast_subrequests"] += n_subrequests
-            return done
+            return self.replay(batch)
+        done = sim.event()
         presplits = self._presplit(list(zip(batch.offsets.tolist(), batch.sizes.tolist())))
         stats["general_batches"] += 1
         stats["general_requests"] += n
@@ -345,6 +341,30 @@ class PFSFile:
                 done.succeed(np.asarray(umbrella._value, dtype=np.float64))
 
         sim.all_of(procs).add_callback(_finish)
+        return done
+
+    def replay(self, batch: RequestBatch) -> Event:
+        """Serve ``batch`` on the batched fast path; returns its completion event.
+
+        The caller must have checked
+        :func:`repro.pfs.batch_exec.fast_path_blocker` (the replay does not
+        re-check). An open-loop batch is submitted at once; a closed-loop
+        batch (``ranks`` set) replays its rank program's windows. The
+        event's value is the per-request elapsed array, batch order.
+        """
+        from repro.pfs.batch_exec import replay_batch
+
+        sim = self.pfs.sim
+        stats = self.pfs.batch_stats
+        done = sim.event()
+        flat = self._presplit_flat(batch)
+        elapsed, t_end, n_subrequests, used_columnar = replay_batch(self, batch, flat)
+        sim.schedule_many([(done, elapsed, t_end)], absolute=True)
+        stats["fast_batches"] += 1
+        if used_columnar:
+            stats["fast_columnar_batches"] += 1
+        stats["fast_requests"] += len(batch)
+        stats["fast_subrequests"] += n_subrequests
         return done
 
     def _issue_after(

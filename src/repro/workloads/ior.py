@@ -94,6 +94,12 @@ class IORConfig:
 class IORWorkload:
     """Generates IOR request streams from an :class:`IORConfig`."""
 
+    #: :meth:`rank_program` is exactly :meth:`request_batch` run closed
+    #: loop (barrier, each rank's stream at ``queue_depth``, barrier), so
+    #: :func:`repro.experiments.harness.run_workload` may replay the batch
+    #: on the event-heap tier instead of running the rank programs.
+    closed_loop = True
+
     def __init__(self, config: IORConfig):
         self.config = config
 
@@ -128,7 +134,9 @@ class IORWorkload:
         Offsets are generated directly as numpy columns (no per-request
         tuples); the per-rank permutation draws the same
         :func:`~repro.util.rng.derive_rng` stream as :meth:`rank_requests`,
-        so the batch equals ``all_requests`` entry for entry.
+        so the batch equals ``all_requests`` entry for entry. The ``ranks``
+        column and ``depth = queue_depth`` describe :meth:`rank_program`'s
+        closed loop; open-loop submissions ignore them.
         """
         cfg = self.config
         requests_per_block = cfg.block_size // cfg.request_size
@@ -150,6 +158,8 @@ class IORWorkload:
             offsets=offsets,
             sizes=np.full(n, cfg.request_size, dtype=np.int64),
             is_read=np.full(n, cfg.op is OpType.READ, dtype=bool),
+            ranks=np.repeat(np.arange(cfg.n_processes, dtype=np.int64), per_rank),
+            depth=cfg.queue_depth,
         )
 
     def iter_request_batches(self, chunk_requests: int) -> Generator[RequestBatch, None, None]:

@@ -59,6 +59,10 @@ class RegionSpec:
 class SyntheticRegionWorkload:
     """Requests with per-region sizes over a multi-region file."""
 
+    #: :meth:`rank_program` is :meth:`request_batch` run closed loop at
+    #: depth 1 (see :attr:`repro.workloads.ior.IORWorkload.closed_loop`).
+    closed_loop = True
+
     def __init__(
         self,
         regions: list[RegionSpec],
@@ -118,7 +122,8 @@ class SyntheticRegionWorkload:
 
         Per-rank shuffles draw the same RNG streams as
         :meth:`rank_requests`, applied as index permutations over numpy
-        columns instead of list rebuilds.
+        columns instead of list rebuilds. The ``ranks`` column describes
+        :meth:`rank_program`'s closed loop (depth 1).
         """
         slots = self._all_slots()
         n = len(slots)
@@ -133,10 +138,12 @@ class SyntheticRegionWorkload:
             offset_parts.append(mine_offsets[order])
             size_parts.append(mine_sizes[order])
         offsets = np.concatenate(offset_parts)
+        counts = [part.shape[0] for part in offset_parts]
         return RequestBatch(
             offsets=offsets,
             sizes=np.concatenate(size_parts),
             is_read=np.full(offsets.shape[0], self.op is OpType.READ, dtype=bool),
+            ranks=np.repeat(np.arange(self.n_processes, dtype=np.int64), counts),
         )
 
     def synthetic_trace(self) -> list[TraceRecord]:

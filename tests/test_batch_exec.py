@@ -12,9 +12,12 @@ mixed ops) and check every fallback trigger routes to the general path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.experiments.harness import Testbed, run_workload
 from repro.pfs.batch import RequestBatch
 from repro.pfs.batch_exec import fast_path_blocker
 from repro.pfs.filesystem import HybridPFS
@@ -470,3 +473,217 @@ class TestBatchedJobs:
         for s, p in zip(serial, pooled):
             assert s.makespan == p.makespan
             assert s.server_busy == p.server_busy
+
+
+# ---------------------------------------------------------------------------
+# Closed loop: run_workload replays rank programs on the event-heap tier
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RunTestbed(Testbed):
+    """A testbed that keeps the cluster it built (optionally with a free MDS)."""
+
+    zero_lookup: bool = False
+    last_pfs: object = None
+
+    def build(self, sim):
+        pfs = super().build(sim)
+        if self.zero_lookup:
+            pfs.mds.lookup_latency = 0.0
+            pfs.mds.per_region_latency = 0.0
+        self.last_pfs = pfs
+        return pfs
+
+
+#: Device profiles without startup jitter: equal work takes equal time, so
+#: concurrent ranks finish at exactly the same instants.
+DETERMINISTIC_DEVICES = {
+    "hdd_kwargs": {"alpha_min": 1e-4, "alpha_max": 1e-4},
+    "ssd_kwargs": {
+        "read_alpha_min": 2e-5,
+        "read_alpha_max": 2e-5,
+        "write_alpha_min": 3e-5,
+        "write_alpha_max": 3e-5,
+    },
+}
+
+
+def _ior(n_processes=2, per_rank=4, depth=1, op="write", random_offsets=True):
+    from repro.workloads.ior import IORConfig, IORWorkload
+
+    return IORWorkload(
+        IORConfig(
+            n_processes=n_processes,
+            request_size=64 * KiB,
+            file_size=n_processes * per_rank * 64 * KiB,
+            op=op,
+            random_offsets=random_offsets,
+            queue_depth=depth,
+        )
+    )
+
+
+def _workload_state(testbed, workload, layout, **run_kwargs):
+    result = run_workload(testbed, workload, layout, **run_kwargs)
+    pfs = testbed.last_pfs
+    state = {
+        "makespan": result.makespan,
+        "busy": result.server_busy,
+        "nic_busy": [s.nic.monitor.busy_time for s in pfs.servers],
+        "rng": [s.device.rng.bit_generator.state for s in pfs.servers],
+        "bytes": [s.bytes_served for s in pfs.servers],
+        "subreqs": [s.subrequests_served for s in pfs.servers],
+        "lookups": pfs.mds.lookup_count,
+        "mds_busy": pfs.mds.utilization_seconds,
+    }
+    return state, dict(pfs.batch_stats), dict(pfs.batch_fallbacks)
+
+
+def _assert_closed_parity(workload, layout=None, **testbed_kwargs):
+    layout = layout or FixedLayout(2, 1, 64 * KiB)
+    testbed = _RunTestbed(**{"n_hservers": 2, "n_sservers": 1, "seed": 0, **testbed_kwargs})
+    fast, fast_stats, fast_falls = _workload_state(testbed, workload, layout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_BATCH_FAST", "0")
+        general, _, general_falls = _workload_state(testbed, workload, layout)
+    assert fast_falls == {}, fast_falls
+    assert fast_stats["fast_batches"] == 1
+    assert fast_stats["fast_columnar_batches"] == 0
+    assert general_falls == {"disabled": 1}
+    assert fast == general
+    return fast
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_one_rank(self, depth):
+        _assert_closed_parity(_ior(n_processes=1, per_rank=6, depth=depth))
+
+    @pytest.mark.parametrize("depth", [3, 8])
+    def test_depth_covers_every_request(self, depth):
+        """queue_depth >= requests per rank: the whole run is one wave."""
+        _assert_closed_parity(_ior(n_processes=3, per_rank=3, depth=depth))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_zero_cost_mds(self, depth):
+        _assert_closed_parity(_ior(depth=depth), zero_lookup=True)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_tied_completions(self, depth, op):
+        """Two ranks finishing at the same instants resume in hop order."""
+        # Each rank's block covers four stripes, so rank 0 only touches
+        # HServers 0-3 and rank 1 only 4-7; with a free MDS and jitter-free
+        # devices every request of rank 1 completes exactly with its rank-0
+        # twin.
+        workload = _ior(per_rank=4, depth=depth, op=op, random_offsets=False)
+        layout = FixedLayout(8, 0, 64 * KiB)
+        shape = {"n_hservers": 8, "n_sservers": 0, "zero_lookup": True}
+        testbed = _RunTestbed(seed=0, **shape, **DETERMINISTIC_DEVICES)
+        sim = Simulator()
+        handle = testbed.build(sim).create_file("f", layout)
+        done = handle.replay(workload.request_batch())
+        sim.run(done)
+        np.testing.assert_array_equal(done.value[:4], done.value[4:])
+        _assert_closed_parity(workload, layout, **shape, **DETERMINISTIC_DEVICES)
+
+    def test_sharded_cached_mds(self):
+        _assert_closed_parity(_ior(n_processes=4, depth=2), mds_shards=4, mds_cache=True)
+
+    def _fallback(self, reason, **run_kwargs):
+        """The rank programs run, count ``reason``, and match the fast route."""
+        workload, layout = _ior(depth=2), FixedLayout(2, 1, 64 * KiB)
+        testbed = _RunTestbed(n_hservers=2, n_sservers=1, seed=0)
+        fast, _, _ = _workload_state(testbed, workload, layout)
+        state, stats, falls = _workload_state(testbed, workload, layout, **run_kwargs)
+        assert falls == {reason: 1}
+        assert stats["fast_batches"] == 0 and stats["general_batches"] == 1
+        assert (state["makespan"], state["busy"]) == (fast["makespan"], fast["busy"])
+        return state
+
+    def test_tracing_runs_rank_programs(self):
+        self._fallback("tracing", trace=True)
+
+    def test_fault_schedule_runs_rank_programs(self):
+        from repro.faults.schedule import FaultSchedule, ServerCrash
+
+        # A crash far past the end: the injector's timer keeps the simulator
+        # busy without changing what the run measures.
+        schedule = FaultSchedule([ServerCrash(time=1e9, server=0)])
+        self._fallback("simulator-busy", faults=schedule)
+
+    def test_collector_runs_rank_programs(self):
+        from repro.middleware.iosig import TraceCollector
+
+        collector = TraceCollector(Simulator())
+        self._fallback("collector", collector=collector)
+        assert len(collector.records) == 2 * 4  # every rank-program call traced
+
+    def test_open_loop_submission_ignores_ranks(self):
+        """request_batch() keeps open-loop semantics for closed-loop batches."""
+        batch = _ior(depth=2).request_batch()
+        assert batch.ranks is not None
+        fast = _run(FixedLayout(2, 1, 64 * KiB), batch, force_general=False)
+        general = _run(FixedLayout(2, 1, 64 * KiB), batch.open_loop(), force_general=True)
+        np.testing.assert_array_equal(fast["elapsed"], general["elapsed"])
+
+
+# ---------------------------------------------------------------------------
+# The fallback matrix in DESIGN.md names every reason the code can return
+# ---------------------------------------------------------------------------
+
+
+def _reason_literals(function) -> set[str]:
+    """String literals ``function`` returns (alone or as a tuple's last item)
+    or assigns to a local named ``reason``."""
+    import ast
+    import inspect
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    found = set()
+    for node in ast.walk(tree):
+        value = None
+        if isinstance(node, ast.Return):
+            value = node.value
+            if isinstance(value, ast.Tuple) and value.elts:
+                value = value.elts[-1]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "reason" for t in node.targets
+        ):
+            value = node.value
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            found.add(value.value)
+    return found
+
+
+def test_design_fallback_matrix_lists_every_reason():
+    import re
+    from pathlib import Path
+
+    from repro.experiments import harness
+    from repro.pfs import batch_exec
+    from repro.pfs.filesystem import PFSFile
+    from repro.pfs.server import FileServer
+
+    reasons = set()
+    for function in (
+        batch_exec.fast_path_blocker,
+        batch_exec._plan_mds,
+        FileServer.fast_batch_blocker,
+        PFSFile.request_batch,
+        harness._closed_loop_batch,
+    ):
+        reasons |= _reason_literals(function)
+    design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
+    section = design.split("## 10. Batched execution fast path", 1)[1]
+    table = section.split("**Entry conditions.**", 1)[1].split("\n\n", 2)[1]
+    listed = {
+        name
+        for line in table.splitlines()
+        if line.startswith("|")
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
+    assert {"collector", "tracing", "simulator-busy", "mds-fill-tie"} <= reasons
+    assert reasons - listed == set()

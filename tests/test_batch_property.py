@@ -10,6 +10,10 @@ per-request path would have: same makespan and per-request elapsed array,
 same per-resource busy-time floats, same device RNG states, same CRC tag
 tables.
 
+The closed-loop property does the same one level up: ``run_workload`` on
+its default route (the event-heap replay of the workload's closed-loop
+batch) against the SimMPI rank programs under ``REPRO_BATCH_FAST=0``.
+
 Example counts are deliberately small (each example runs two full
 simulations); the grids in ``test_batch_exec.py`` cover the deterministic
 edge cases, this file covers the combinatorial middle.
@@ -17,15 +21,19 @@ edge cases, this file covers the combinatorial middle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rst import RegionStripeTable, RSTEntry
 from repro.devices.base import OpType
+from repro.experiments.harness import Testbed, run_workload
 from repro.pfs.batch import RequestBatch
 from repro.pfs.filesystem import HybridPFS
-from repro.pfs.layout import FixedLayout, RegionLevelLayout
+from repro.pfs.layout import FixedLayout, RandomLayout, RegionLevelLayout
 from repro.pfs.mds_cluster import MetadataCluster
 from repro.pfs.mapping import StripingConfig
 from repro.simulate.engine import Simulator
@@ -246,4 +254,152 @@ def test_batched_replay_matches_general_path(scenario):
     assert general_stats["general_batches"] == 1
     np.testing.assert_array_equal(fast["elapsed"], general["elapsed"])
     del fast["elapsed"], general["elapsed"]
+    assert fast == general
+
+
+# ---------------------------------------------------------------------------
+# Closed loop: run_workload's event-heap replay vs the SimMPI rank programs
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ClosedLoopTestbed(Testbed):
+    """A testbed that can arm checksumming and keeps the cluster it built."""
+
+    integrity: bool = False
+    last_pfs: object = None
+
+    def build(self, sim):
+        pfs = super().build(sim)
+        if self.integrity:
+            pfs.enable_integrity()
+        self.last_pfs = pfs
+        return pfs
+
+
+@st.composite
+def _closed_loop_workloads(draw):
+    if draw(st.booleans()):
+        n_processes = draw(st.integers(min_value=2, max_value=4))
+        segments = draw(st.integers(min_value=1, max_value=2))
+        request_size = draw(st.sampled_from((16 * KiB, 64 * KiB, 96 * KiB)))
+        per_block = draw(st.integers(min_value=1, max_value=3))
+        return IORWorkload(
+            IORConfig(
+                n_processes=n_processes,
+                request_size=request_size,
+                file_size=segments * n_processes * per_block * request_size,
+                op=draw(st.sampled_from((OpType.READ, OpType.WRITE))),
+                random_offsets=draw(st.booleans()),
+                segments=segments,
+                queue_depth=draw(st.integers(min_value=1, max_value=4)),
+                seed=draw(st.integers(min_value=0, max_value=9)),
+            )
+        )
+    regions = [
+        RegionSpec(
+            size=(rs := draw(st.sampled_from((16 * KiB, 64 * KiB, 256 * KiB))))
+            * draw(st.integers(min_value=1, max_value=3)),
+            request_size=rs,
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return SyntheticRegionWorkload(
+        regions,
+        n_processes=draw(st.sampled_from((1, 2, 4))),
+        op=draw(st.sampled_from((OpType.READ, OpType.WRITE))),
+        seed=draw(st.integers(min_value=0, max_value=9)),
+    )
+
+
+@st.composite
+def _closed_loop_scenarios(draw):
+    workload = draw(_closed_loop_workloads())
+    replicas = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("fixed", "random", "region")))
+    if kind == "fixed":
+        layout = FixedLayout(2, 1, 64 * KiB, replicas=replicas)
+    elif kind == "random":
+        layout = RandomLayout(
+            2, 1, choices=(16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB),
+            seed=draw(st.integers(min_value=0, max_value=9)),
+        )
+        layout.replicas = replicas  # RandomLayout takes no replicas argument.
+    else:
+        rst = RegionStripeTable(
+            [
+                RSTEntry(
+                    region_id=0,
+                    offset=0,
+                    end=256 * KiB,
+                    config=StripingConfig(2, 1, 16 * KiB, 64 * KiB),
+                ),
+                RSTEntry(
+                    region_id=1,
+                    offset=256 * KiB,
+                    end=None,
+                    config=StripingConfig(2, 1, 64 * KiB, 32 * KiB),
+                ),
+            ]
+        )
+        layout = RegionLevelLayout(rst, replicas={0: replicas})
+    knobs = {
+        "integrity": draw(st.booleans()),
+        "mds_shards": draw(st.sampled_from((0, 2, 4))),
+        "mds_routing": draw(st.sampled_from(("finger", "linear"))),
+        "mds_cache": draw(st.booleans()),
+        "hdd_kwargs": {"positional": draw(st.booleans())},
+    }
+    return workload, layout, knobs
+
+
+def _run_closed_loop(workload, layout, knobs):
+    testbed = _ClosedLoopTestbed(n_hservers=2, n_sservers=1, seed=0, **knobs)
+    result = run_workload(testbed, workload, layout)
+    pfs = testbed.last_pfs
+    return {
+        "makespan": result.makespan,
+        "busy": result.server_busy,
+        "nic_busy": [s.nic.monitor.busy_time for s in pfs.servers],
+        "rng": [s.device.rng.bit_generator.state for s in pfs.servers],
+        "device": [
+            {k: v for k, v in vars(s.device).items() if k != "rng"} for s in pfs.servers
+        ],
+        "bytes": [s.bytes_served for s in pfs.servers],
+        "subreqs": [s.subrequests_served for s in pfs.servers],
+        "tags": [
+            None if s.checksums is None else dict(s.checksums._tags)
+            for s in pfs.servers
+        ],
+        "integrity": result.integrity,
+        "extents": dict(pfs._extent_bases),
+        "lookups": pfs.mds.lookup_count,
+        "mds_busy": [
+            shard.utilization_seconds for shard in getattr(pfs.mds, "shards", [pfs.mds])
+        ],
+        "mds": result.mds,
+        "cache": result.cache,
+    }, dict(pfs.batch_stats), dict(pfs.batch_fallbacks)
+
+
+@given(_closed_loop_scenarios())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_closed_loop_replay_matches_rank_programs(scenario):
+    workload, layout, knobs = scenario
+    fast, fast_stats, fast_falls = _run_closed_loop(workload, layout, knobs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_BATCH_FAST", "0")
+        general, general_stats, general_falls = _run_closed_loop(workload, layout, knobs)
+    if fast_falls:
+        assert set(fast_falls) <= _TIE_BAILS
+    else:
+        # The event-heap tier, never the columnar one, replays closed loops.
+        assert fast_stats["fast_batches"] == 1
+        assert fast_stats["fast_columnar_batches"] == 0
+    assert general_stats["fast_batches"] == 0
+    assert general_falls == {"disabled": 1}
     assert fast == general
