@@ -2,9 +2,9 @@
 
 - :mod:`repro.core.params` — Table I parameter bundle (architecture,
   network, storage performance of each server class).
-- :mod:`repro.core.cost_model` — the analytical access cost of one request
-  (Sec. III-D, Eq. 1–8), scalar and vectorized over requests and candidate
-  stripe pairs.
+- :mod:`repro.core.cost_model` — the analytical access cost (Sec. III-D,
+  Eq. 1–8): one K-class kernel vectorized over candidate stripe vectors and
+  requests, plus the scalar reference it is tested against.
 - :mod:`repro.core.region_division` — Algorithm 1: CV-driven variable-size
   region division with threshold tuning to bound region counts.
 - :mod:`repro.core.stripe_determination` — Algorithm 2: grid search for the

@@ -26,9 +26,9 @@ from repro.core.cost_model import total_cost_vectorized
 from repro.core.params import CostModelParameters
 from repro.core.region_division import fixed_size_division
 from repro.core.rst import RegionStripeTable, RSTEntry
-from repro.core.stripe_determination import determine_stripes
+from repro.core.stripe_determination import _grid_geometry, _sample_requests, determine_stripes
 from repro.pfs.mapping import StripingConfig
-from repro.util.units import KiB, MiB
+from repro.util.units import MiB
 from repro.workloads.traces import TraceRecord, sort_trace, trace_arrays
 
 
@@ -41,13 +41,10 @@ def _best_uniform_stripe(
     max_requests: int,
 ) -> int:
     """Grid-search a single stripe used on every server (h = s)."""
-    base = int(offsets.min())
-    offsets = offsets - base
-    if offsets.shape[0] > max_requests:
-        idx = np.unique(np.linspace(0, offsets.shape[0] - 1, max_requests).round().astype(int))
-        offsets, sizes, is_read = offsets[idx], sizes[idx], is_read[idx]
-    avg = float(sizes.mean())
-    max_stripe = max(step, int(-(-avg // step)) * step)
+    offsets, sizes, is_read, _ = _sample_requests(
+        offsets - int(offsets.min()), sizes, is_read, max_requests
+    )
+    step, max_stripe = _grid_geometry(float(sizes.mean()), step)
     best_stripe, best_cost = step, np.inf
     for stripe in range(step, max_stripe + 1, step):
         cost = float(
@@ -80,10 +77,7 @@ def plan_segment_level(
     entries = []
     for region in regions:
         lo, hi = region.first_request, region.last_request
-        if step is None:
-            seg_step = max(4 * KiB, int(region.avg_request_size / 32) // (4 * KiB) * (4 * KiB))
-        else:
-            seg_step = step
+        seg_step, _ = _grid_geometry(region.avg_request_size, step)
         stripe = _best_uniform_stripe(
             params, offsets[lo:hi], sizes[lo:hi], is_read[lo:hi], seg_step,
             max_requests_per_segment,

@@ -1,47 +1,53 @@
 """The analytical access cost model (paper Sec. III-D, Eq. 1–8).
 
-Cost of one file request ``(op, o, r)`` striped with (h, s) over M HServers
-and N SServers::
+Cost of one file request ``(op, o, r)`` striped over server classes — the
+paper's M HServers with stripe h and N SServers with stripe s, or the
+Sec. V extension to K ordered classes::
 
     T = T_X + T_S + T_T
 
-- ``T_X = max(s_m, s_n) · t``                        (Eq. 1, network)
-- ``T_S = max(T_h^S, T_s^S)`` where each class contributes the expected
-  maximum of its per-server uniform startup draws (Eq. 3–5)::
+- ``T_X = max_i s_i · t``                            (Eq. 1, network)
+- ``T_S = max_i T_i^S`` where each class contributes the expected maximum
+  of its per-server uniform startup draws (Eq. 3–5)::
 
-      T_h^S = α_min + m/(m+1) · (α_max − α_min)      if m > 0, else 0
+      T_i^S = α_min + m_i/(m_i+1) · (α_max − α_min)   if m_i > 0, else 0
 
-- ``T_T = max(s_m · β_h, s_n · β_s)``                (Eq. 6, storage)
+- ``T_T = max_i s_i · β_i``                          (Eq. 6, storage)
 
-with (s_m, s_n, m, n) the critical parameters of the request's sub-request
-distribution. Writes use the SServer write parameter set (Eq. 8).
+with s_i the largest sub-request on a class-i server and m_i the number of
+class-i servers touched — the critical parameters (s_m, s_n, m, n) for two
+classes. Writes use each class's write parameter set (Eq. 8).
 
-The paper derives (s_m, s_n, m, n) by the Figure 5 case analysis; we compute
+The paper derives the critical parameters by the Figure 5 case analysis
+(kept verbatim as :func:`repro.pfs.mapping.paper_case_a_params`); we compute
 them exactly from the striping math (:mod:`repro.pfs.mapping`), which agrees
 with Fig. 5 where Fig. 5 is exact and corrects its under-count in the
 multi-round, multi-column cases (servers between the beginning and ending
 columns receive Δr+1 stripes, not Δr). The ablation bench
 ``benchmarks/test_ablation_cost_model.py`` quantifies the difference.
 
-Three entry points:
-
-- :func:`request_cost` — scalar, one request.
-- :func:`request_cost_breakdown` — scalar with the (T_X, T_S, T_T) split.
-- :func:`total_cost_vectorized` — summed cost of a request batch for a
-  whole vector of candidate ``s`` values at fixed ``h``; this is Algorithm
-  2's inner loop and is fully vectorized over (candidates × requests ×
-  servers).
+The model is written twice, on purpose. :func:`class_total_cost` is the
+kernel: summed batch cost for every candidate stripe vector, vectorized over
+(candidates × requests × servers) on top of
+:func:`repro.pfs.mapping.class_critical_params`; Algorithm 2's
+:func:`total_cost_vectorized` and the multi-tier coordinate descent wrap it.
+:func:`class_cost_breakdown` is the scalar reference for one request, fed
+per-class critical parameters from ``decompose``; it backs
+:func:`request_cost_breakdown` and the multi-tier scalar cost, and it is the
+oracle the kernel is tested against, so it must not call the kernel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.params import CostModelParameters
 from repro.devices.base import OpType
-from repro.pfs.mapping import StripingConfig, critical_params
+from repro.devices.profiles import DeviceProfile
+from repro.pfs.mapping import StripingConfig, class_critical_params, critical_params
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,24 @@ class CostBreakdown:
         return self.network + self.startup + self.transfer
 
 
-def _expected_max_startup(lo: float, hi: float, count: int) -> float:
-    """Eq. (3)/(4): expected max of ``count`` Uniform(lo, hi) draws."""
-    if count <= 0:
-        return 0.0
-    return lo + (count / (count + 1)) * (hi - lo)
+def class_cost_breakdown(
+    profiles: Sequence[DeviceProfile],
+    unit_network_time: float,
+    op: OpType | str,
+    largest: Sequence[int],
+    touched: Sequence[int],
+) -> CostBreakdown:
+    """Eq. 1–8 for one request from its per-class critical parameters.
+
+    ``largest[i]`` is the largest sub-request on a class-i server and
+    ``touched[i]`` the number of class-i servers that receive one.
+    """
+    op = OpType.parse(op)
+    return CostBreakdown(
+        network=max(largest) * unit_network_time,
+        startup=max(p.expected_startup(op, n) for p, n in zip(profiles, touched)),
+        transfer=max(s * p.beta(op) for p, s in zip(profiles, largest)),
+    )
 
 
 def request_cost_breakdown(
@@ -83,20 +102,13 @@ def request_cost_breakdown(
         sstripe=sstripe,
     )
     crit = critical_params(config, offset, size)
-    t = params.unit_network_time
-    network = max(crit.s_m, crit.s_n) * t
-
-    h_lo, h_hi = params.hserver.alpha_bounds(op)
-    s_lo, s_hi = params.sserver.alpha_bounds(op)
-    startup = max(
-        _expected_max_startup(h_lo, h_hi, crit.m),
-        _expected_max_startup(s_lo, s_hi, crit.n),
+    return class_cost_breakdown(
+        (params.hserver, params.sserver),
+        params.unit_network_time,
+        op,
+        (crit.s_m, crit.s_n),
+        (crit.m, crit.n),
     )
-    transfer = max(
-        crit.s_m * params.hserver.beta(op),
-        crit.s_n * params.sserver.beta(op),
-    )
-    return CostBreakdown(network=network, startup=startup, transfer=transfer)
 
 
 def request_cost(
@@ -111,6 +123,63 @@ def request_cost(
     return request_cost_breakdown(params, op, offset, size, hstripe, sstripe).total
 
 
+def class_total_cost(
+    class_counts: Sequence[int],
+    profiles: Sequence[DeviceProfile],
+    unit_network_time: float,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+    is_read: np.ndarray,
+    stripe_matrix: np.ndarray,
+) -> np.ndarray:
+    """Summed request-batch cost for every candidate stripe vector.
+
+    Args:
+        class_counts, profiles: servers and :class:`DeviceProfile` per class.
+        unit_network_time: the network's t (seconds/byte).
+        offsets, sizes: int64 arrays, one entry per request.
+        is_read: boolean array; False entries are writes.
+        stripe_matrix: int64 array ``(n_cand, K)`` of per-class stripes;
+            every row must distribute some data.
+
+    Returns:
+        float64 array ``(n_cand,)`` — the region cost (sum over requests)
+        of each candidate.
+    """
+    is_read = np.asarray(is_read, dtype=bool)
+    if is_read.shape != np.shape(offsets):
+        raise ValueError("offsets, sizes, is_read must share a shape")
+    largest, touched = class_critical_params(class_counts, stripe_matrix, offsets, sizes)
+
+    # Float sums depend on memory order: op-masked columns are
+    # Fortran-ordered and numpy sums their rows sequentially, while a
+    # C-ordered operand (say, a max started from np.zeros) makes it sum
+    # pairwise. Building every term from the masked columns and starting
+    # each max from class 0's term keeps one order, so tied Algorithm 2
+    # candidates resolve the same way for every K.
+    total = np.zeros(largest.shape[1], dtype=np.float64)
+    for op in (OpType.READ, OpType.WRITE):
+        mask = is_read if op is OpType.READ else ~is_read
+        if not mask.any():
+            continue
+        terms = None
+        for profile, pieces, count in zip(profiles, largest, touched):
+            pieces, count = pieces[:, mask], count[:, mask].astype(np.float64)
+            lo, hi = profile.alpha_bounds(op)
+            class_terms = (
+                pieces * unit_network_time,
+                np.where(count > 0, lo + (count / (count + 1.0)) * (hi - lo), 0.0),
+                pieces * profile.beta(op),
+            )
+            if terms is None:
+                terms = class_terms
+            else:
+                terms = tuple(np.maximum(a, b) for a, b in zip(terms, class_terms))
+        network, startup, transfer = terms
+        total += (network + startup + transfer).sum(axis=1)
+    return total
+
+
 def total_cost_vectorized(
     params: CostModelParameters,
     offsets: np.ndarray,
@@ -120,6 +189,9 @@ def total_cost_vectorized(
     s_candidates: np.ndarray,
 ) -> np.ndarray:
     """Summed request-batch cost for every candidate ``s`` at fixed ``h``.
+
+    Algorithm 2's inner loop: :func:`class_total_cost` over the ``[h, s]``
+    candidate matrix.
 
     Args:
         params: cost model parameters.
@@ -134,82 +206,13 @@ def total_cost_vectorized(
         (sum over requests) for each (h, s) pair. Algorithm 2 minimizes this
         over the whole grid.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    is_read = np.asarray(is_read, dtype=bool)
     s_candidates = np.asarray(s_candidates, dtype=np.int64)
-    if not (offsets.shape == sizes.shape == is_read.shape):
-        raise ValueError("offsets, sizes, is_read must share a shape")
-    if offsets.ndim != 1:
-        raise ValueError("request arrays must be 1-D")
-    M, N = params.n_hservers, params.n_sservers
-    h = int(hstripe)
-    if h < 0 or np.any(s_candidates < 0):
-        raise ValueError("stripe sizes must be >= 0")
-    S = M * h + N * s_candidates  # (n_cand,)
-    if np.any(S <= 0):
-        raise ValueError("every candidate must satisfy M*h + N*s > 0")
-
-    n_cand = s_candidates.shape[0]
-    k = offsets.shape[0]
-    if k == 0:
-        return np.zeros(n_cand, dtype=np.float64)
-
-    ends = offsets + sizes  # (k,)
-    S3 = S[:, None, None]  # (n_cand, 1, 1)
-
-    # In-round windows: HServers at i*h (width h), SServers at M*h + j*s
-    # (width s, s varies per candidate).
-    h_starts = (np.arange(M, dtype=np.int64) * h)[None, None, :] if M else None
-    if N:
-        j = np.arange(N, dtype=np.int64)[None, None, :]
-        s_starts = M * h + j * s_candidates[:, None, None]  # (n_cand, 1, N)
-
-    def bytes_below(x: np.ndarray, starts: np.ndarray, width: np.ndarray) -> np.ndarray:
-        # F(x) = floor(x/S)*w + clip(x%S - a, 0, w), broadcast over
-        # (n_cand, k, n_class_servers).
-        x3 = x[None, :, None]
-        full, rem = np.divmod(x3, S3)
-        return full * width + np.clip(rem - starts, 0, width)
-
-    if M and h > 0:
-        h_bytes = bytes_below(ends, h_starts, h) - bytes_below(offsets, h_starts, h)
-        s_m = h_bytes.max(axis=2)  # (n_cand, k)
-        m = (h_bytes > 0).sum(axis=2)
-    else:
-        s_m = np.zeros((n_cand, k), dtype=np.int64)
-        m = np.zeros((n_cand, k), dtype=np.int64)
-    if N:
-        width = s_candidates[:, None, None]
-        s_bytes = bytes_below(ends, s_starts, width) - bytes_below(offsets, s_starts, width)
-        s_n = s_bytes.max(axis=2)
-        n = (s_bytes > 0).sum(axis=2)
-    else:
-        s_n = np.zeros((n_cand, k), dtype=np.int64)
-        n = np.zeros((n_cand, k), dtype=np.int64)
-
-    t = params.unit_network_time
-    network = np.maximum(s_m, s_n) * t
-
-    def startup_term(lo: float, hi: float, count: np.ndarray) -> np.ndarray:
-        c = count.astype(np.float64)
-        return np.where(count > 0, lo + (c / (c + 1.0)) * (hi - lo), 0.0)
-
-    total = np.zeros(n_cand, dtype=np.float64)
-    for reading in (True, False):
-        mask = is_read if reading else ~is_read
-        if not mask.any():
-            continue
-        op = OpType.READ if reading else OpType.WRITE
-        h_lo, h_hi = params.hserver.alpha_bounds(op)
-        s_lo, s_hi = params.sserver.alpha_bounds(op)
-        startup = np.maximum(
-            startup_term(h_lo, h_hi, m[:, mask]),
-            startup_term(s_lo, s_hi, n[:, mask]),
-        )
-        transfer = np.maximum(
-            s_m[:, mask] * params.hserver.beta(op),
-            s_n[:, mask] * params.sserver.beta(op),
-        )
-        total += (network[:, mask] + startup + transfer).sum(axis=1)
-    return total
+    return class_total_cost(
+        (params.n_hservers, params.n_sservers),
+        (params.hserver, params.sserver),
+        params.unit_network_time,
+        offsets,
+        sizes,
+        is_read,
+        np.column_stack([np.full_like(s_candidates, int(hstripe)), s_candidates]),
+    )

@@ -1,15 +1,12 @@
-"""Multi-tier cost model and stripe determination (the paper's future work).
+"""Multi-tier stripe determination (the paper's future work).
 
-Generalizes Sec. III-D/III-E from two server classes to K ordered classes
-(e.g. NVMe / SATA-SSD / HDD). The per-request cost keeps the paper's
-structure, with every max taken over all classes::
-
-    T_X = max_i s_i · t
-    T_S = max_i  E[max of m_i startup draws from class i's (α_min, α_max)]
-    T_T = max_i s_i · β_i
-
-where s_i is the largest sub-request on a class-i server and m_i the number
-of class-i servers touched.
+Generalizes Sec. III-E from two server classes to K ordered classes
+(e.g. NVMe / SATA-SSD / HDD). A stripe vector is priced by the Sec. III-D
+model with every max taken over all K classes — the same kernel
+(:func:`repro.core.cost_model.class_total_cost`) and scalar reference
+(:func:`repro.core.cost_model.class_cost_breakdown`) the two-class
+Algorithm 2 uses; :func:`multiclass_total_cost` and
+:func:`multiclass_request_cost` adapt :class:`MultiTierParameters` to them.
 
 Exhaustively grid-searching K stripe sizes is O((R̄/step)^K); instead
 :func:`determine_stripes_multiclass` runs **coordinate descent**: start from
@@ -26,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cost_model import class_cost_breakdown, class_total_cost
+from repro.core.stripe_determination import _grid_geometry, _sample_requests
 from repro.devices.base import OpType
 from repro.devices.profiles import DeviceProfile
 from repro.pfs.tiered import ClassStripe, MultiClassStripingConfig
-from repro.util.units import KiB, format_size
+from repro.util.units import format_size
 from repro.util.validation import check_positive
 
 
@@ -83,17 +82,13 @@ def multiclass_request_cost(
         [ClassStripe(tier.count, stripe) for tier, stripe in zip(params.tiers, stripes)]
     )
     per_class = config.critical_params_per_class(offset, size)
-    t = params.unit_network_time
-    network = max(crit.s_m for crit in per_class) * t
-    startup = max(
-        tier.profile.expected_startup(op, crit.m)
-        for tier, crit in zip(params.tiers, per_class)
-    )
-    transfer = max(
-        crit.s_m * tier.profile.beta(op)
-        for tier, crit in zip(params.tiers, per_class)
-    )
-    return network + startup + transfer
+    return class_cost_breakdown(
+        [tier.profile for tier in params.tiers],
+        params.unit_network_time,
+        op,
+        [crit.s_m for crit in per_class],
+        [crit.m for crit in per_class],
+    ).total
 
 
 def multiclass_total_cost(
@@ -105,77 +100,25 @@ def multiclass_total_cost(
 ) -> np.ndarray:
     """Summed request-batch cost for every candidate stripe vector.
 
+    The coordinate-descent inner loop: :func:`class_total_cost` over the
+    tiers.
+
     Args:
         stripe_matrix: int64 array of shape ``(n_cand, K)``; every row must
             distribute some data (``Σ count_i · stripe_i > 0``).
 
     Returns:
-        float64 array ``(n_cand,)`` of total costs — the coordinate-descent
-        inner loop, vectorized over (candidates × requests × servers).
+        float64 array ``(n_cand,)`` of total costs.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    is_read = np.asarray(is_read, dtype=bool)
-    stripe_matrix = np.atleast_2d(np.asarray(stripe_matrix, dtype=np.int64))
-    if stripe_matrix.shape[1] != params.n_classes:
-        raise ValueError(
-            f"stripe matrix has {stripe_matrix.shape[1]} columns, need {params.n_classes}"
-        )
-    if np.any(stripe_matrix < 0):
-        raise ValueError("stripe sizes must be >= 0")
-    counts = np.array(params.class_counts, dtype=np.int64)
-    S = stripe_matrix @ counts  # (n_cand,)
-    if np.any(S <= 0):
-        raise ValueError("every candidate must distribute some data")
-
-    n_cand = stripe_matrix.shape[0]
-    k = offsets.shape[0]
-    if k == 0:
-        return np.zeros(n_cand, dtype=np.float64)
-    ends = offsets + sizes
-    S3 = S[:, None, None]
-
-    # Class window starts: prefix sums of count_j * stripe_j.
-    class_bases = np.zeros((n_cand, params.n_classes), dtype=np.int64)
-    np.cumsum(stripe_matrix[:, :-1] * counts[:-1], axis=1, out=class_bases[:, 1:])
-
-    s_max = np.zeros((params.n_classes, n_cand, k), dtype=np.int64)
-    m_cnt = np.zeros((params.n_classes, n_cand, k), dtype=np.int64)
-    for class_index, count in enumerate(params.class_counts):
-        width = stripe_matrix[:, class_index][:, None, None]  # (n_cand,1,1)
-        j = np.arange(count, dtype=np.int64)[None, None, :]
-        starts = class_bases[:, class_index][:, None, None] + j * width
-
-        def bytes_below(x: np.ndarray) -> np.ndarray:
-            x3 = x[None, :, None]
-            full, rem = np.divmod(x3, S3)
-            return full * width + np.clip(rem - starts, 0, width)
-
-        per_server = bytes_below(ends) - bytes_below(offsets)  # (n_cand, k, count)
-        s_max[class_index] = per_server.max(axis=2)
-        m_cnt[class_index] = (per_server > 0).sum(axis=2)
-
-    t = params.unit_network_time
-    network = s_max.max(axis=0) * t  # (n_cand, k)
-
-    total = np.zeros(n_cand, dtype=np.float64)
-    for reading in (True, False):
-        mask = is_read if reading else ~is_read
-        if not mask.any():
-            continue
-        op = OpType.READ if reading else OpType.WRITE
-        startup = np.zeros((n_cand, int(mask.sum())), dtype=np.float64)
-        transfer = np.zeros_like(startup)
-        for class_index, tier in enumerate(params.tiers):
-            lo, hi = tier.profile.alpha_bounds(op)
-            m = m_cnt[class_index][:, mask].astype(np.float64)
-            class_startup = np.where(m > 0, lo + (m / (m + 1.0)) * (hi - lo), 0.0)
-            startup = np.maximum(startup, class_startup)
-            transfer = np.maximum(
-                transfer, s_max[class_index][:, mask] * tier.profile.beta(op)
-            )
-        total += (network[:, mask] + startup + transfer).sum(axis=1)
-    return total
+    return class_total_cost(
+        params.class_counts,
+        [tier.profile for tier in params.tiers],
+        params.unit_network_time,
+        offsets,
+        sizes,
+        is_read,
+        stripe_matrix,
+    )
 
 
 @dataclass(frozen=True)
@@ -223,30 +166,18 @@ def determine_stripes_multiclass(
     is_read = np.asarray(is_read, dtype=bool)
     if offsets.shape[0] == 0:
         raise ValueError("cannot determine stripes for an empty region")
-    base = int(offsets.min())
-    offsets = offsets - base
-
+    offsets = offsets - int(offsets.min())
     if avg_request_size is None:
         avg_request_size = float(sizes.mean())
-    if step is None:
-        step = max(4 * KiB, int(avg_request_size / 32) // (4 * KiB) * (4 * KiB))
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    max_stripe = max(step, int(-(-avg_request_size // step)) * step)
-
-    if offsets.shape[0] > max_requests:
-        idx = np.unique(np.linspace(0, offsets.shape[0] - 1, max_requests).round().astype(int))
-        scale = offsets.shape[0] / idx.shape[0]
-        offsets, sizes, is_read = offsets[idx], sizes[idx], is_read[idx]
-    else:
-        scale = 1.0
+    step, max_stripe = _grid_geometry(avg_request_size, step)
+    offsets, sizes, is_read, scale = _sample_requests(offsets, sizes, is_read, max_requests)
 
     dominant_op = OpType.READ if is_read.mean() >= 0.5 else OpType.WRITE
     current = _initial_stripes(params, avg_request_size, step, dominant_op)
     if (current * np.array(params.class_counts)).sum() == 0:
-        current[int(np.argmax(current))] = step  # Degenerate warm start.
-        if (current * np.array(params.class_counts)).sum() == 0:
-            current[0] = step
+        # Degenerate warm start; every tier count is >= 1, so one stripe
+        # set to a step makes the round positive.
+        current[int(np.argmax(current))] = step
 
     grid = np.arange(0, max_stripe + 1, step, dtype=np.int64)
     best_cost = float(

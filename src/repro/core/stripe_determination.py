@@ -136,6 +136,19 @@ class StripeChoice:
         return f"{{{format_size(self.hstripe)}, {format_size(self.sstripe)}}}"
 
 
+def _grid_geometry(avg_request_size: float, step: int | None) -> tuple[int, int]:
+    """Algorithm 2's grid: ``(step, max_stripe)`` for a region of mean R̄.
+
+    ``step=None`` picks the adaptive step — R̄/32 rounded down to a 4 KB
+    multiple, floored at 4 KB. ``max_stripe`` is R̄ rounded up to a step.
+    """
+    if step is None:
+        step = max(4 * KiB, int(avg_request_size / 32) // (4 * KiB) * (4 * KiB))
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    return step, max(step, int(-(-avg_request_size // step)) * step)
+
+
 def _sample_requests(
     offsets: np.ndarray,
     sizes: np.ndarray,
@@ -201,19 +214,11 @@ def determine_stripes(
     if offsets.shape[0] == 0:
         raise ValueError("cannot determine stripes for an empty region")
 
-    base = int(offsets.min())
-    offsets = offsets - base
-
+    offsets = offsets - int(offsets.min())
     if avg_request_size is None:
         avg_request_size = float(sizes.mean())
-    if step is None:
-        step = max(4 * KiB, int(avg_request_size / 32) // (4 * KiB) * (4 * KiB))
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if max_stripe is None:
-        max_stripe = max(step, int(-(-avg_request_size // step)) * step)
-    else:
-        max_stripe = max(step, int(max_stripe))
+    step, grid_top = _grid_geometry(avg_request_size, step)
+    max_stripe = grid_top if max_stripe is None else max(step, int(max_stripe))
 
     cache_capacity = stripe_cache_capacity()
     use_cache = constraint is None and cache_capacity > 0
@@ -310,11 +315,10 @@ def reference_determine_stripes(
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     is_read = np.asarray(is_read, dtype=bool)
-    base = int(offsets.min())
-    offsets = offsets - base
+    offsets = offsets - int(offsets.min())
     if avg_request_size is None:
         avg_request_size = float(sizes.mean())
-    max_stripe = max(step, int(-(-avg_request_size // step)) * step)
+    step, max_stripe = _grid_geometry(avg_request_size, step)
     M, N = params.n_hservers, params.n_sservers
 
     best: StripeChoice | None = None

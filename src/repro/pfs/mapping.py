@@ -350,6 +350,76 @@ def critical_params(config: StripingConfig, offset: int, size: int) -> CriticalP
     return CriticalParams(s_m=s_m, s_n=s_n, m=m, n=n)
 
 
+def class_critical_params(
+    class_counts: tuple[int, ...],
+    stripe_matrix: np.ndarray,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class critical parameters for every candidate stripe vector.
+
+    The K-class, vectorized (s_m, s_n, m, n): class ``i`` has
+    ``class_counts[i]`` servers (0 allowed) with stripe ``stripe_matrix[c, i]``
+    under candidate ``c``, classes laid out in order within a round as in
+    :class:`StripingConfig`. Returns ``(largest, touched)``, int64 arrays of
+    shape ``(K, n_cand, n_requests)``: each class's largest sub-request and
+    number of servers touched (0 for a class that gets no data). This is the
+    striping half of :func:`repro.core.cost_model.class_total_cost`.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if offsets.shape != sizes.shape:
+        raise ValueError("offsets and sizes must have the same shape")
+    if offsets.ndim != 1:
+        raise ValueError("request arrays must be 1-D")
+    if np.any(offsets < 0) or np.any(sizes < 0):
+        raise ValueError("offsets and sizes must be >= 0")
+    counts = np.asarray(class_counts, dtype=np.int64)
+    stripes = np.atleast_2d(np.asarray(stripe_matrix, dtype=np.int64))
+    if stripes.shape[1] != counts.shape[0]:
+        raise ValueError(
+            f"stripe matrix has {stripes.shape[1]} columns, need {counts.shape[0]}"
+        )
+    if np.any(stripes < 0):
+        raise ValueError("stripe sizes must be >= 0")
+    S = (stripes @ counts)[:, None]  # (n_cand, 1)
+    if np.any(S <= 0):
+        raise ValueError(
+            "every candidate must distribute some data: need M*h + N*s > 0 "
+            "(sum of count_i * stripe_i over the classes)"
+        )
+
+    # F(x) = floor(x/S)·w + clip(x mod S − a, 0, w), per server window
+    # [a, a + w); the floor/mod is shared by every class.
+    full_lo, rem_lo = np.divmod(offsets[None, :], S)  # (n_cand, k)
+    full_hi, rem_hi = np.divmod((offsets + sizes)[None, :], S)
+    rounds = full_hi - full_lo
+    # Class windows start at the prefix sums of count_j · stripe_j.
+    bases = np.zeros_like(stripes)
+    np.cumsum(stripes[:, :-1] * counts[:-1], axis=1, out=bases[:, 1:])
+
+    shape = (counts.shape[0], stripes.shape[0], offsets.shape[0])
+    largest = np.zeros(shape, dtype=np.int64)
+    touched = np.zeros(shape, dtype=np.int64)
+    for index, count in enumerate(counts.tolist()):
+        if count == 0:
+            continue
+        width = stripes[:, index][:, None]  # (n_cand, 1)
+        starts = bases[:, index][:, None] + np.arange(count)[:, None, None] * width
+        # Servers on the leading axis make the per-class max/count cheap
+        # elementwise reductions; in place, since these (count, n_cand, k)
+        # temporaries dominate the cost.
+        pieces = rem_hi - starts
+        np.clip(pieces, 0, width, out=pieces)
+        below = rem_lo - starts
+        np.clip(below, 0, width, out=below)
+        pieces -= below
+        pieces += rounds * width
+        largest[index] = pieces.max(axis=0)
+        touched[index] = (pieces > 0).sum(axis=0)
+    return largest, touched
+
+
 def critical_params_vectorized(
     config: StripingConfig,
     offsets: np.ndarray,
@@ -357,46 +427,13 @@ def critical_params_vectorized(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (s_m, s_n, m, n) over arrays of requests.
 
-    Args:
-        config: the striping choice under evaluation.
-        offsets, sizes: integer arrays of equal length (bytes).
-
-    Returns:
-        ``(s_m, s_n, m, n)`` int64 arrays, one entry per request. This is the
-        inner loop of Algorithm 2's grid search: one call per (h, s) pair
-        evaluates every request of a region at numpy speed.
+    The one-candidate, two-class view of :func:`class_critical_params`;
+    returns four int64 arrays, one entry per request.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if offsets.shape != sizes.shape:
-        raise ValueError("offsets and sizes must have the same shape")
-    if np.any(offsets < 0) or np.any(sizes < 0):
-        raise ValueError("offsets and sizes must be >= 0")
-    S = config.round_size
-    n_req = offsets.shape[0]
-    ends = offsets + sizes
-
-    windows = np.array(
-        [config.server_window(i) for i in range(config.n_servers)], dtype=np.int64
-    )  # (n_servers, 2)
-    a = windows[:, 0][None, :]  # (1, n_servers)
-    w = (windows[:, 1] - windows[:, 0])[None, :]
-
-    def batched_f(x: np.ndarray) -> np.ndarray:
-        x = x[:, None]  # (n_req, 1)
-        full, rem = np.divmod(x, S)
-        return full * w + np.clip(rem - a, 0, w)
-
-    bytes_per_server = batched_f(ends) - batched_f(offsets)  # (n_req, n_servers)
-
-    M = config.n_hservers
-    h_bytes = bytes_per_server[:, :M]
-    s_bytes = bytes_per_server[:, M:]
-    s_m = h_bytes.max(axis=1) if M > 0 else np.zeros(n_req, dtype=np.int64)
-    s_n = s_bytes.max(axis=1) if config.n_sservers > 0 else np.zeros(n_req, dtype=np.int64)
-    m = (h_bytes > 0).sum(axis=1) if M > 0 else np.zeros(n_req, dtype=np.int64)
-    n = (s_bytes > 0).sum(axis=1) if config.n_sservers > 0 else np.zeros(n_req, dtype=np.int64)
-    return s_m, s_n, m.astype(np.int64), n.astype(np.int64)
+    largest, touched = class_critical_params(
+        config.class_counts, np.array([config.stripes]), offsets, sizes
+    )
+    return largest[0, 0], largest[1, 0], touched[0, 0], touched[1, 0]
 
 
 def paper_case_a_params(config: StripingConfig, offset: int, size: int) -> CriticalParams:

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost_model import request_cost, request_cost_breakdown, total_cost_vectorized
+from repro.core.cost_model import (
+    class_cost_breakdown,
+    class_total_cost,
+    request_cost,
+    request_cost_breakdown,
+    total_cost_vectorized,
+)
 from repro.core.params import CostModelParameters
 from repro.devices.profiles import DeviceProfile
+from repro.pfs.mapping import class_critical_params
+from repro.pfs.tiered import MultiClassStripingConfig
 from repro.util.units import KiB
 
 HPROF = DeviceProfile(
@@ -138,3 +146,86 @@ def test_write_never_cheaper_than_read_on_sservers(data):
     read = request_cost(params, "read", offset, size, 0, s)
     write = request_cost(params, "write", offset, size, 0, s)
     assert write >= read - 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The K-class kernel against the scalar reference, K in {1, 2, 3}
+# ---------------------------------------------------------------------------
+
+NVME = DeviceProfile(
+    read_alpha_min=5e-6, read_alpha_max=2e-5,
+    write_alpha_min=1e-5, write_alpha_max=3e-5,
+    beta_read=5e-10, beta_write=8e-10, label="nvme",
+)
+
+
+@st.composite
+def _class_layouts(draw):
+    """(counts, profiles, stripe_matrix): some counts or stripes may be 0."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=k, max_size=k))
+    assume(sum(counts) > 0)
+    profiles = draw(st.lists(st.sampled_from([HPROF, SPROF, NVME]), min_size=k, max_size=k))
+    stripe = st.one_of(st.just(0), st.integers(min_value=1, max_value=48).map(lambda x: x * 4 * KiB))
+    rows = draw(
+        st.lists(st.lists(stripe, min_size=k, max_size=k), min_size=1, max_size=4)
+    )
+    rows = [row for row in rows if sum(c * s for c, s in zip(counts, row)) > 0]
+    assume(rows)
+    return counts, profiles, np.array(rows, dtype=np.int64)
+
+
+@st.composite
+def _requests(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    offs = draw(st.lists(st.integers(min_value=0, max_value=2**24), min_size=n, max_size=n))
+    szs = draw(st.lists(st.integers(min_value=0, max_value=2**21), min_size=n, max_size=n))
+    reads = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (
+        np.array(offs, dtype=np.int64),
+        np.array(szs, dtype=np.int64),
+        np.array(reads, dtype=bool),
+    )
+
+
+def _per_class_from_decompose(counts, stripes, offset, size):
+    """Per-class (largest piece, servers touched), straight from decompose."""
+    config = MultiClassStripingConfig(list(zip(counts, (int(s) for s in stripes))))
+    largest = [0] * len(counts)
+    touched = [0] * len(counts)
+    for sub in config.decompose(int(offset), int(size)):
+        index = config.class_of(sub.server_id)
+        largest[index] = max(largest[index], sub.size)
+        touched[index] += 1
+    return largest, touched
+
+
+@given(_class_layouts(), _requests())
+@settings(max_examples=150)
+def test_kernel_equals_scalar_reference(layout, requests):
+    counts, profiles, matrix = layout
+    offs, szs, is_read = requests
+    totals = class_total_cost(counts, profiles, 2e-9, offs, szs, is_read, matrix)
+    for row, stripes in zip(totals, matrix):
+        expected = sum(
+            class_cost_breakdown(
+                profiles, 2e-9, "read" if r else "write",
+                *_per_class_from_decompose(counts, stripes, o, z),
+            ).total
+            for o, z, r in zip(offs, szs, is_read)
+        )
+        assert row == pytest.approx(expected, rel=1e-12)
+
+
+@given(_class_layouts(), _requests())
+@settings(max_examples=150)
+def test_striping_half_matches_decompose(layout, requests):
+    counts, _, matrix = layout
+    offs, szs, _ = requests
+    largest, touched = class_critical_params(counts, matrix, offs, szs)
+    assert largest.shape == touched.shape == (len(counts), matrix.shape[0], offs.shape[0])
+    for cand, stripes in enumerate(matrix):
+        for i, (o, z) in enumerate(zip(offs, szs)):
+            want_largest, want_touched = _per_class_from_decompose(counts, stripes, o, z)
+            assert largest[:, cand, i].tolist() == want_largest
+            assert touched[:, cand, i].tolist() == want_touched

@@ -197,3 +197,39 @@ class TestMultiTierPlanner:
         assert [e.config.stripes for e in restored.entries] == [
             e.config.stripes for e in rst.entries
         ]
+
+
+class TestRequestArrayValidation:
+    """Malformed request arrays raise ValueError, as in the two-class kernel."""
+
+    STRIPES = np.array([[16 * KiB, 64 * KiB]], dtype=np.int64)
+
+    def test_offsets_sizes_length_mismatch(self, two_tier_params):
+        with pytest.raises(ValueError, match="same shape"):
+            multiclass_total_cost(
+                two_tier_params,
+                np.array([0, 1], dtype=np.int64),
+                np.array([KiB], dtype=np.int64),
+                np.array([True, True]),
+                self.STRIPES,
+            )
+
+    def test_short_is_read(self, two_tier_params):
+        with pytest.raises(ValueError, match="share a shape"):
+            multiclass_total_cost(
+                two_tier_params,
+                np.array([0, KiB], dtype=np.int64),
+                np.array([KiB, KiB], dtype=np.int64),
+                np.array([True]),
+                self.STRIPES,
+            )
+
+    def test_two_dimensional_requests(self, two_tier_params):
+        with pytest.raises(ValueError, match="1-D"):
+            multiclass_total_cost(
+                two_tier_params,
+                np.zeros((2, 2), dtype=np.int64),
+                np.full((2, 2), KiB, dtype=np.int64),
+                np.ones((2, 2), dtype=bool),
+                self.STRIPES,
+            )
