@@ -54,13 +54,7 @@ from pathlib import Path
 
 from repro.core.planner import HARLPlanner
 from repro.experiments import figures
-from repro.experiments.harness import (
-    Testbed,
-    _Run,
-    harl_plan,
-    run_workload,
-    run_workload_batched,
-)
+from repro.experiments.harness import Testbed, _Run, harl_plan, run_workload
 from repro.faults import FaultSchedule, FaultSpecError, RetryPolicy, parse_faults
 from repro.obs import (
     record_plan_report,
@@ -271,6 +265,23 @@ def _resolve_layout(args: argparse.Namespace, testbed: Testbed, workload, report
     return layout, label, False
 
 
+def _load_trace(path: str) -> list | None:
+    """The records of the trace CSV at ``path``, or None after an ``error:`` line.
+
+    A missing or unreadable file, a bad header or row, and an empty trace
+    all end there, so commands exit 2 instead of with a traceback.
+    """
+    try:
+        trace = TraceFile.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if not trace:
+        print("error: trace is empty", file=sys.stderr)
+        return None
+    return trace
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     testbed = _testbed(args)
     hint = parse_size(args.request_hint) if args.request_hint else None
@@ -287,9 +298,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    trace = TraceFile.load(args.trace)
-    if not trace:
-        print("error: trace is empty", file=sys.stderr)
+    trace = _load_trace(args.trace)
+    if trace is None:
         return 2
     testbed = _testbed(args)
     mean = int(sum(r.size for r in trace) / len(trace))
@@ -1011,34 +1021,24 @@ def cmd_run_figure(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.workloads.replay import ReplayConfig, TraceReplayWorkload
 
-    trace = TraceFile.load(args.trace)
-    if not trace:
-        print("error: trace is empty", file=sys.stderr)
+    trace = _load_trace(args.trace)
+    if trace is None:
         return 2
     workload = TraceReplayWorkload(
         trace, ReplayConfig(preserve_think_time=args.think_time)
     )
     testbed = _testbed(args)
-    name = args.layout.lower()
-    if name == "harl":
-        layout = harl_plan(testbed, workload)
-        label = "HARL"
-    else:
-        try:
-            stripe = parse_size(args.layout)
-        except ValueError:
-            print(
-                f"error: invalid --layout {args.layout!r}: expected 'harl' "
-                f"or a stripe size like '64K'",
-                file=sys.stderr,
-            )
-            return 2
-        layout = FixedLayout(args.hservers, args.sservers, stripe)
-        label = format_size(stripe)
-    if args.batched:
-        result = run_workload_batched(testbed, workload, layout, layout_name=label)
-    else:
-        result = run_workload(testbed, workload, layout, layout_name=label)
+    try:
+        layout, label, _ = _resolve_layout(args, testbed, workload)
+    except ValueError as exc:  # LayoutSpecError, or a stripe the layout rejects.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    result = run_workload(
+        testbed,
+        workload.request_batch() if args.batched else workload,
+        layout,
+        layout_name=label,
+    )
     print(
         f"replayed {len(trace)} requests on {workload.n_processes} ranks, layout {label}:"
     )
@@ -1059,71 +1059,69 @@ def _peak_rss_mb() -> float:
 def cmd_replay_bench(args: argparse.Namespace) -> int:
     import time
 
-    request_size = parse_size(args.request_size)
-    # IOR needs a whole number of requests per rank; round up so any
-    # --requests value works.
-    per_rank = -(-args.requests // args.processes)
-    n_requests = per_rank * args.processes
+    try:
+        if args.requests < 1 or args.processes < 1:
+            raise ValueError(
+                f"--requests and --processes must be >= 1, got "
+                f"{args.requests} and {args.processes}"
+            )
+        if args.chunk_size < 0:
+            raise ValueError(f"--chunk-size must be >= 0, got {args.chunk_size}")
+        if args.general and args.chunk_size:
+            raise ValueError("--general is incompatible with --chunk-size")
+        request_size = parse_size(args.request_size)
+        # IOR needs a whole number of requests per rank; round up so any
+        # --requests value works.
+        per_rank = -(-args.requests // args.processes)
+        n_requests = per_rank * args.processes
+        workload = IORWorkload(
+            IORConfig(
+                n_processes=args.processes,
+                request_size=request_size,
+                file_size=n_requests * request_size,
+                op=args.op,
+                random_offsets=not args.sequential,
+            )
+        )
+        try:
+            stripe = parse_size(args.layout)
+        except ValueError:
+            raise ValueError(
+                f"invalid --layout {args.layout!r}: expected a stripe size like '64K'"
+            ) from None
+        layout = FixedLayout(args.hservers, args.sservers, stripe)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if n_requests != args.requests:
         print(f"note: rounding --requests up to {n_requests} ({per_rank} per rank)")
-    config = IORConfig(
-        n_processes=args.processes,
-        request_size=request_size,
-        file_size=n_requests * request_size,
-        op=args.op,
-        random_offsets=not args.sequential,
-    )
-    workload = IORWorkload(config)
     testbed = _testbed(args)
-    try:
-        stripe = parse_size(args.layout)
-    except ValueError:
-        print(
-            f"error: invalid --layout {args.layout!r}: expected a stripe size like '64K'",
-            file=sys.stderr,
-        )
-        return 2
-    layout = FixedLayout(args.hservers, args.sservers, stripe)
+    total_bytes = n_requests * request_size
+    # Without --chunk-size the whole run is one chunk. Chunked replay
+    # generates and submits one window at a time on one long-lived
+    # cluster, so peak RSS is bounded by the chunk, not the run (the
+    # 100M-request mode).
+    chunk_size = args.chunk_size or n_requests
 
-    if args.chunk_size:
-        # Streamed replay: generate + submit one window at a time on one
-        # long-lived cluster, so peak RSS is bounded by the chunk, not the
-        # run (the 100M-request mode).
+    def replay(force_general: bool = False):
         run = _Run(testbed)
-        pfs = run.pfs
-        handle = pfs.create_file("shared.dat", layout)
+        handle = run.pfs.create_file("shared.dat", layout)
         start = time.perf_counter()
         n_chunks = 0
-        for chunk in workload.iter_request_batches(args.chunk_size):
-            run.run(handle.request_batch(chunk))
+        for chunk in workload.iter_request_batches(chunk_size):
+            run.run(handle.request_batch(chunk, force_general=force_general))
             n_chunks += 1
-        fast_wall = time.perf_counter() - start
-        total_bytes = n_requests * request_size
-        makespan = run.result(format_size(stripe), total_bytes).makespan
-        stats = pfs.batch_stats
-        fallbacks = dict(pfs.batch_fallbacks)
-        n_subrequests = sum(s.subrequests_served for s in pfs.servers)
-        print(
-            f"chunked replay of {n_requests} requests "
-            f"({format_size(total_bytes)}, {n_chunks} chunks of <= {args.chunk_size}): "
-            f"{fast_wall:.3f}s wall, makespan {makespan:.4f}s"
-        )
-    else:
-        batch = workload.request_batch()
-        start = time.perf_counter()
-        fast = run_workload_batched(
-            testbed, batch, layout, layout_name=format_size(stripe), stats_sink=(sink := {})
-        )
-        fast_wall = time.perf_counter() - start
-        makespan = fast.makespan
-        stats = sink["batch_stats"]
-        fallbacks = sink["batch_fallbacks"]
-        n_subrequests = sink["subrequests"]
-        print(
-            f"batched replay of {len(batch)} requests ({format_size(batch.total_bytes)}): "
-            f"{fast_wall:.3f}s wall, makespan {makespan:.4f}s, "
-            f"{fast.throughput_mib:.1f} MiB/s"
-        )
+        wall = time.perf_counter() - start
+        return run.pfs, run.result(format_size(stripe), total_bytes), wall, n_chunks
+
+    pfs, fast, fast_wall, n_chunks = replay()
+    stats = pfs.batch_stats
+    n_subrequests = sum(s.subrequests_served for s in pfs.servers)
+    print(
+        f"replay of {n_requests} requests ({format_size(total_bytes)}, "
+        f"{n_chunks} chunk(s) of <= {chunk_size}): {fast_wall:.3f}s wall, "
+        f"makespan {fast.makespan:.4f}s, {fast.throughput_mib:.1f} MiB/s"
+    )
     rate = n_subrequests / fast_wall if fast_wall > 0 else float("inf")
     tiers = (
         f"{stats['fast_columnar_batches']} columnar + "
@@ -1131,8 +1129,8 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
         f"{stats['general_batches']} general"
     )
     print(f"  {n_subrequests} sub-requests, {rate:,.0f} subreq/s; batches: {tiers}")
-    if fallbacks:
-        breakdown = ", ".join(f"{k}={v}" for k, v in sorted(fallbacks.items()))
+    if pfs.batch_fallbacks:
+        breakdown = ", ".join(f"{k}={v}" for k, v in sorted(pfs.batch_fallbacks.items()))
         print(f"  fallback reasons: {breakdown}")
     else:
         print("  fallback reasons: none")
@@ -1145,15 +1143,8 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
         )
         return 1
     if args.general:
-        if args.chunk_size:
-            print("error: --general is incompatible with --chunk-size", file=sys.stderr)
-            return 2
-        start = time.perf_counter()
-        general = run_workload_batched(
-            testbed, batch, layout, layout_name=format_size(stripe), force_general=True
-        )
-        general_wall = time.perf_counter() - start
-        match = "identical" if general.makespan == makespan else "MISMATCH"
+        _, general, general_wall, _ = replay(force_general=True)
+        match = "identical" if general.makespan == fast.makespan else "MISMATCH"
         print(
             f"general path: {general_wall:.3f}s wall, makespan {general.makespan:.4f}s "
             f"({match}); speedup {general_wall / fast_wall:.1f}x"
@@ -1166,9 +1157,8 @@ def cmd_replay_bench(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.workloads.analysis import analyze_trace, render_report
 
-    trace = TraceFile.load(args.trace)
-    if not trace:
-        print("error: trace is empty", file=sys.stderr)
+    trace = _load_trace(args.trace)
+    if trace is None:
         return 2
     print(render_report(analyze_trace(trace), title=args.trace))
     return 0
@@ -1529,7 +1519,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a trace CSV under a layout")
     _add_testbed_args(p)
     p.add_argument("--trace", required=True, help="trace CSV path")
-    p.add_argument("--layout", default="harl", help="'harl' or a fixed stripe size")
+    p.add_argument(
+        "--layout",
+        default="harl",
+        help="'harl', a fixed stripe size ('64K'), 'random', or 'rand<seed>'",
+    )
     p.add_argument(
         "--think-time", action="store_true", help="preserve recorded inter-arrival gaps"
     )

@@ -622,9 +622,9 @@ def fig_mds_contention(
     """
     from repro.workloads.metadata import MetadataConfig, MetadataWorkload
 
-    workload = MetadataWorkload(
+    batch = MetadataWorkload(
         MetadataConfig(n_ops=n_ops, n_processes=n_processes, spread=spread)
-    )
+    ).request_batch()
     layout = FixedLayout(2, 1, DEFAULT_STRIPE)
     job_list = [
         RunJob(
@@ -636,10 +636,9 @@ def fig_mds_contention(
                 mds_profile=profile,
                 mds_cache=cached,
             ),
-            workload=workload,
+            workload=batch,
             layout=layout,
             layout_name="64K",
-            batched=True,
         )
         for shards in shard_counts
         for cached in (False, True)

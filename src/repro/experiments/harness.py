@@ -4,10 +4,12 @@ A :class:`Testbed` captures the cluster shape (M HServers + N SServers,
 device and network parameters). One run core, :class:`_Run`, owns every
 simulation run's lifecycle — simulator, tracer, cluster, faults,
 durability and the :class:`RunResult` — and the entry points are thin
-drivers on it: :func:`run_workload` runs a workload's rank programs under
-one layout, :func:`run_workload_batched` one columnar batch,
+drivers on it: :func:`run_workload` runs one workload under one layout
+(its rank programs, or one columnar batch submitted open loop),
 :func:`run_serving` a multi-tenant scenario and
 :func:`run_concurrent_workloads` several applications at once.
+:func:`run_workload_batched` is a deprecated alias of :func:`run_workload`
+on a workload's batch.
 :func:`compare_layouts` sweeps a set of layouts (the paper's
 fixed/random/HARL comparison) over one workload and renders the
 figure-style table.
@@ -15,7 +17,6 @@ figure-style table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol
 
@@ -382,7 +383,7 @@ class _Run:
 
 def run_workload(
     testbed: Testbed,
-    workload: Workload,
+    workload: Workload | RequestBatch,
     layout: LayoutPolicy | RegionStripeTable,
     layout_name: str | None = None,
     collector: TraceCollector | None = None,
@@ -392,8 +393,14 @@ def run_workload(
     retry: Any = None,
     rebuild: Any = None,
     write_quorum: int | None = None,
+    force_general: bool = False,
 ) -> RunResult:
     """Execute one workload under one layout on a fresh simulated cluster.
+
+    ``workload`` is a workload object, whose rank programs run on a world
+    of its process count, or a :class:`~repro.pfs.batch.RequestBatch`,
+    submitted open loop in one call from a one-rank world (any closed-loop
+    ``ranks`` and ``depth`` columns are ignored).
 
     ``trace`` attaches a DES event tracer (:mod:`repro.obs`) and returns
     spans + per-server metrics in ``RunResult.obs``. ``None`` (default)
@@ -417,103 +424,60 @@ def run_workload(
     and leave fault-free runs byte-identical to builds without them; the
     outcome rides back in ``RunResult.durability``.
 
-    A workload whose rank program is the closed loop of its
+    A batch, and a workload whose rank program is the closed loop of its
     ``request_batch()`` (``closed_loop = True``: IOR at any queue depth,
-    the synthetic region workload) is replayed on the event-heap tier of
-    :mod:`repro.pfs.batch_exec` instead of running its rank programs —
-    bit-identical, without a process per request. Checked in order: no
-    IOSIG ``collector``, no ``REPRO_BATCH_FAST=0``, then
-    :func:`~repro.pfs.batch_exec.fast_path_blocker`; the first refusal is
-    counted in ``pfs.batch_fallbacks`` and the rank programs run as before.
+    the synthetic region workload), run on the fast tiers of
+    :mod:`repro.pfs.batch_exec` when :meth:`PFSFile.take_fast_path
+    <repro.pfs.filesystem.PFSFile.take_fast_path>` allows — bit-identical,
+    without a process per request. Otherwise the batch spawns one process
+    per request and the workload runs its rank programs; the refusal is
+    counted in ``pfs.batch_fallbacks``. ``force_general=True`` pins that
+    general path (the parity baseline), and an IOSIG ``collector`` pins it
+    for a closed loop, whose rank-program calls it records.
     """
     run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
-    world, mf = run.open(
-        workload_processes(workload),
-        layout,
-        file_name,
-        collector,
-        n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
-    )
-    batch = _closed_loop_batch(run.pfs, mf.handle, workload, collector)
-    if batch is not None:
-        run.run(mf.handle.replay(batch))
+    if isinstance(workload, RequestBatch):
+        _, mf = run.open(1, layout, file_name, collector)
+        run.run(mf.request_batch(workload, force_general=force_general))
+        total_bytes = workload.total_bytes
     else:
-        run.run(world.spawn(workload.rank_program(mf)))
+        world, mf = run.open(
+            workload_processes(workload),
+            layout,
+            file_name,
+            collector,
+            n_aggregators=getattr(getattr(workload, "config", None), "n_aggregators", None),
+        )
+        reason = None
+        if force_general:
+            reason = "forced"
+        elif collector is not None:
+            reason = "collector"  # The collector records per rank-program call.
+        batch = workload.request_batch() if getattr(workload, "closed_loop", False) else None
+        if batch is not None and mf.handle.take_fast_path(batch, reason):
+            run.run(mf.handle.replay(batch))
+        else:
+            run.run(world.spawn(workload.rank_program(mf)))
+        total_bytes = workload_bytes(workload)
     if layout_name is None:
         layout_name = mf.handle.layout.describe()
-    return run.result(layout_name, workload_bytes(workload))
-
-
-def _closed_loop_batch(pfs, handle, workload, collector) -> RequestBatch | None:
-    """The workload's closed-loop batch if the fast path may replay it, else None.
-
-    A refusal (a workload without a closed-loop form is not one) counts as
-    a general-path batch under its reason, like a batch submission's.
-    """
-    if not getattr(workload, "closed_loop", False):
-        return None
-    from repro.pfs.batch_exec import fast_path_blocker
-
-    batch = workload.request_batch()
-    if collector is not None:
-        reason = "collector"  # The collector records per rank-program call.
-    elif os.environ.get("REPRO_BATCH_FAST", "1") == "0":
-        reason = "disabled"
-    else:
-        reason = fast_path_blocker(handle, batch)
-        if reason is None:
-            return batch
-    pfs.batch_stats["general_batches"] += 1
-    pfs.batch_stats["general_requests"] += len(batch)
-    pfs.batch_fallbacks[reason] = pfs.batch_fallbacks.get(reason, 0) + 1
-    return None
+    return run.result(layout_name, total_bytes)
 
 
 def run_workload_batched(
-    testbed: Testbed,
-    workload: Any,
-    layout: LayoutPolicy | RegionStripeTable,
-    layout_name: str | None = None,
-    collector: TraceCollector | None = None,
-    file_name: str = "shared.dat",
-    trace: bool | None = None,
-    faults: Any = None,
-    retry: Any = None,
-    rebuild: Any = None,
-    write_quorum: int | None = None,
-    force_general: bool = False,
-    stats_sink: dict | None = None,
+    testbed: Testbed, workload: Any, layout: LayoutPolicy | RegionStripeTable, **kwargs: Any
 ) -> RunResult:
-    """Execute a workload as one columnar batch on a fresh simulated cluster.
+    """Deprecated alias: :func:`run_workload` on ``workload`` as one batch.
 
-    ``workload`` is either a :class:`~repro.pfs.batch.RequestBatch` or any
-    workload object exposing ``request_batch()`` (all five generators do).
-    The whole batch is submitted open loop (any closed-loop ``ranks`` and
-    ``depth`` columns are ignored) through the middleware in one call, so the
-    run takes the arithmetic fast path of :mod:`repro.pfs.batch_exec`
-    whenever eligible — tracing, fault schedules, a retry policy, rebuild or
-    quorum writes push it onto the general per-request path automatically
-    (the fast-path blocker counts the fallback), with identical results.
-    ``force_general=True`` pins the general path (the parity baseline).
-
-    ``stats_sink``, when given, receives the transient cluster's batching
-    telemetry before it is torn down: ``batch_stats`` (tier counters),
-    ``batch_fallbacks`` (per-reason general-path counts), and
-    ``subrequests`` (total sub-requests served across all servers).
+    ``workload`` is a :class:`~repro.pfs.batch.RequestBatch` or any
+    workload object exposing ``request_batch()``.
     """
-    batch = workload if isinstance(workload, RequestBatch) else workload.request_batch()
-    run = _Run(testbed, trace, faults, retry=retry, rebuild=rebuild, write_quorum=write_quorum)
-    _, mf = run.open(1, layout, file_name, collector)
-    run.run(mf.request_batch(batch, force_general=force_general))
-    if layout_name is None:
-        layout_name = mf.handle.layout.describe()
-    result = run.result(layout_name, batch.total_bytes)
-    if stats_sink is not None:
-        pfs = run.pfs
-        stats_sink["batch_stats"] = dict(pfs.batch_stats)
-        stats_sink["batch_fallbacks"] = dict(pfs.batch_fallbacks)
-        stats_sink["subrequests"] = sum(s.subrequests_served for s in pfs.servers)
-    return result
+    return run_workload(
+        testbed,
+        workload if isinstance(workload, RequestBatch) else workload.request_batch(),
+        layout,
+        **kwargs,
+    )
 
 
 def run_serving(

@@ -110,6 +110,10 @@ def pmap(
 class RunJob:
     """One ``run_workload`` execution: (testbed, workload, layout).
 
+    ``workload`` is a workload object or a
+    :class:`~repro.pfs.batch.RequestBatch`; a batch makes the job a batched
+    run, submitted open loop.
+
     ``trace`` mirrors ``run_workload``'s parameter: True forces a DES
     event trace in the worker (the resulting ``RunResult.obs`` snapshot is
     picklable and rides back for :func:`repro.obs.merge_snapshots`); None
@@ -131,11 +135,8 @@ class RunJob:
     #: rebuild work is RNG-free, so pooled rebuild runs replay identically.
     rebuild: Any = None
     write_quorum: int | None = None
-    #: ``batched=True`` runs the workload as one columnar batch via
-    #: :func:`repro.experiments.harness.run_workload_batched` (the workload
-    #: must expose ``request_batch()`` or be a RequestBatch itself);
-    #: ``force_general`` additionally pins the per-request general path.
-    batched: bool = False
+    #: ``force_general`` pins the general path (per-request processes for a
+    #: batch, rank programs for a closed loop).
     force_general: bool = False
 
 
@@ -167,14 +168,10 @@ class PlanJob:
 
 def execute_run_job(job: RunJob) -> Any:
     """Run one :class:`RunJob` (module-level, hence pool-picklable)."""
-    from repro.experiments.harness import run_workload, run_workload_batched
+    from repro.experiments.harness import run_workload
 
-    # RunJob's fields are the entry points' keyword names.
-    kwargs = {spec.name: getattr(job, spec.name) for spec in fields(RunJob)}
-    if kwargs.pop("batched"):
-        return run_workload_batched(**kwargs)
-    del kwargs["force_general"]
-    return run_workload(**kwargs)
+    # RunJob's fields are run_workload's keyword names.
+    return run_workload(**{spec.name: getattr(job, spec.name) for spec in fields(RunJob)})
 
 
 def execute_serve_job(job: ServeJob) -> Any:

@@ -54,8 +54,7 @@ class RequestBatch:
         is_read: bool column; False entries are writes.
         issue_times: optional float64 column of per-request issue times in
             seconds **relative to the submission instant** (>= 0). ``None``
-            means every request is issued at the submission instant — the
-            historical ``request_many`` behaviour.
+            means every request is issued at the submission instant.
         ranks: optional int64 column naming the MPI rank that issues each
             request. Setting it describes the *closed-loop* rank program
             the batch came from — a start barrier, then each rank keeping

@@ -238,85 +238,58 @@ class PFSFile:
             region[piece],
         )
 
-    def request_many(
-        self,
-        op: OpType | str,
-        requests: list[tuple[int, int]],
-        issue_times: Sequence[float] | np.ndarray | None = None,
-    ) -> list[Process]:
-        """Submit many ``(offset, size)`` requests at the current instant.
+    def take_fast_path(self, batch: RequestBatch, reason: str | None = None) -> bool:
+        """Whether ``batch`` may be served by :meth:`replay` right now.
 
-        Equivalent to ``[self.request(op, o, s) for o, s in requests]`` —
-        same sub-requests, same process spawn order, same completion times —
-        but the striping decomposition of every request runs as one batched
-        numpy pass per striping config (:func:`repro.pfs.mapping.decompose_batch`)
-        instead of per request. The decomposition is snapshotted against the
-        layout at submission time, so callers must not ``relayout`` between
-        submitting and completion of these requests.
-
-        ``issue_times`` (seconds relative to now, one per request, >= 0)
-        delays each request's metadata consult and service to its own issue
-        instant instead of issuing everything simultaneously — the timing a
-        trace replay with preserved think time needs.
+        The one fast/general gate. It refuses, in order: a ``reason`` the
+        caller already has (``forced``, or ``collector`` for a closed loop
+        with an IOSIG collector), ``REPRO_BATCH_FAST=0`` in the environment
+        (``disabled``), then :func:`repro.pfs.batch_exec.fast_path_blocker`.
+        A refusal counts the batch once as a general-path batch under its
+        reason in ``pfs.batch_stats`` and ``pfs.batch_fallbacks``.
         """
-        op = OpType.parse(op)
-        sim = self.pfs.sim
-        if issue_times is not None and len(issue_times) != len(requests):
-            raise ValueError(
-                f"issue_times has {len(issue_times)} entries for {len(requests)} requests"
-            )
-        presplits = self._presplit(requests)
-        procs = []
-        for idx, (offset, size) in enumerate(requests):
-            if issue_times is None:
-                generator = self._request_proc(op, offset, size, presplit=presplits[idx])
+        from repro.pfs.batch_exec import fast_path_blocker
+
+        if reason is None:
+            if os.environ.get("REPRO_BATCH_FAST", "1") == "0":
+                reason = "disabled"
             else:
-                delay = float(issue_times[idx])
-                if delay < 0:
-                    raise ValueError(f"issue_times must be >= 0, got {delay}")
-                generator = self._issue_after(delay, op, offset, size, presplits[idx])
-            procs.append(sim.process(generator, name=f"{self.name}:{op.value}@{offset}"))
-        return procs
+                reason = fast_path_blocker(self, batch)
+        if reason is None:
+            return True
+        stats = self.pfs.batch_stats
+        stats["general_batches"] += 1
+        stats["general_requests"] += len(batch)
+        fallbacks = self.pfs.batch_fallbacks
+        fallbacks[reason] = fallbacks.get(reason, 0) + 1
+        return False
 
     def request_batch(self, batch: RequestBatch, force_general: bool = False) -> Event:
         """Submit a columnar batch; returns an event firing at completion.
 
         The event's value is a float64 array of per-request elapsed seconds
-        (issue to completion), in batch order. When the filesystem is
-        quiescent and undisturbed — no tracer, no faults or retry policies,
-        plain FIFO resources (see
-        :func:`repro.pfs.batch_exec.fast_path_blocker`) — the batch is
+        (issue to completion), in batch order. When :meth:`take_fast_path`
+        allows — the filesystem quiescent and undisturbed: no tracer, no
+        faults or retry policies, plain FIFO resources — the batch is
         served by the arithmetic replay fast path, byte-identical to the
         general path but without per-request process machinery. Otherwise
-        (or with ``force_general=True``, or ``REPRO_BATCH_FAST=0`` in the
-        environment) it transparently spawns one process per request
-        exactly like :meth:`request_many`.
+        (or with ``force_general=True``) it spawns one process per request,
+        each with its striping decomposition precomputed in one batched
+        numpy pass (:meth:`_presplit`), delayed to its issue time when the
+        batch carries ``issue_times``.
 
         Submission is open loop: a closed-loop batch's ``ranks`` and
         ``depth`` columns are ignored here (see :meth:`replay`).
 
         Typical use drains the whole batch: ``sim.run(handle.request_batch(b))``.
         """
-        from repro.pfs.batch_exec import fast_path_blocker
-
         batch = batch.open_loop()
-        sim = self.pfs.sim
-        stats = self.pfs.batch_stats
-        n = len(batch)
-        if force_general:
-            reason = "forced"
-        elif os.environ.get("REPRO_BATCH_FAST", "1") == "0":
-            reason = "disabled"
-        else:
-            reason = fast_path_blocker(self, batch)
-        if reason is None:
+        if self.take_fast_path(batch, "forced" if force_general else None):
             return self.replay(batch)
+        sim = self.pfs.sim
+        n = len(batch)
         done = sim.event()
         presplits = self._presplit(list(zip(batch.offsets.tolist(), batch.sizes.tolist())))
-        stats["general_batches"] += 1
-        stats["general_requests"] += n
-        fallbacks = self.pfs.batch_fallbacks
-        fallbacks[reason] = fallbacks.get(reason, 0) + 1
         offsets = batch.offsets.tolist()
         sizes = batch.sizes.tolist()
         reads = batch.is_read.tolist()
@@ -346,9 +319,8 @@ class PFSFile:
     def replay(self, batch: RequestBatch) -> Event:
         """Serve ``batch`` on the batched fast path; returns its completion event.
 
-        The caller must have checked
-        :func:`repro.pfs.batch_exec.fast_path_blocker` (the replay does not
-        re-check). An open-loop batch is submitted at once; a closed-loop
+        The caller must have checked :meth:`take_fast_path` (the replay
+        does not re-check). An open-loop batch is submitted at once; a closed-loop
         batch (``ranks`` set) replays its rank program's windows. The
         event's value is the per-request elapsed array, batch order.
         """

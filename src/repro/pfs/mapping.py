@@ -240,9 +240,8 @@ def decompose_batch(
         One ``decompose``-identical sub-request list per input request, in
         input order. This is the multi-request submission path: the closed
         form ``F`` is evaluated as one (n_requests × n_servers) array
-        operation instead of per request, which is what
-        :meth:`repro.pfs.filesystem.PFSFile.request_many` and batch-oriented
-        workload drivers use.
+        operation instead of per request, which is what the general path of
+        :meth:`repro.pfs.filesystem.PFSFile.request_batch` uses.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)

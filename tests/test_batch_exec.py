@@ -453,17 +453,15 @@ class TestBatchedJobs:
         jobs = [
             RunJob(
                 testbed=tiny_testbed,
-                workload=workload,
+                workload=workload.request_batch(),
                 layout=FixedLayout(2, 1, 64 * KiB),
                 layout_name="fast",
-                batched=True,
             ),
             RunJob(
                 testbed=tiny_testbed,
-                workload=workload,
+                workload=workload.request_batch(),
                 layout=FixedLayout(2, 1, 64 * KiB),
                 layout_name="general",
-                batched=True,
                 force_general=True,
             ),
         ]
@@ -613,6 +611,17 @@ class TestClosedLoop:
         schedule = FaultSchedule([ServerCrash(time=1e9, server=0)])
         self._fallback("simulator-busy", faults=schedule)
 
+    def test_force_general_runs_rank_programs(self):
+        workload, layout = _ior(depth=2), FixedLayout(2, 1, 64 * KiB)
+        testbed = _RunTestbed(n_hservers=2, n_sservers=1, seed=0)
+        fast, _, _ = _workload_state(testbed, workload, layout)
+        forced, stats, falls = _workload_state(testbed, workload, layout, force_general=True)
+        assert falls == {"forced": 1}
+        assert stats["fast_batches"] == 0 and stats["general_batches"] == 1
+        assert forced["makespan"] == fast["makespan"]
+        assert forced["busy"] == fast["busy"]
+        assert forced["rng"] == fast["rng"]
+
     def test_collector_runs_rank_programs(self):
         from repro.middleware.iosig import TraceCollector
 
@@ -672,8 +681,8 @@ def test_design_fallback_matrix_lists_every_reason():
         batch_exec.fast_path_blocker,
         batch_exec._plan_mds,
         FileServer.fast_batch_blocker,
-        PFSFile.request_batch,
-        harness._closed_loop_batch,
+        PFSFile.take_fast_path,
+        harness.run_workload,
     ):
         reasons |= _reason_literals(function)
     design = (Path(__file__).parent.parent / "DESIGN.md").read_text()

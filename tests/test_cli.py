@@ -195,6 +195,90 @@ class TestAnalyze:
         assert main(["analyze", "--trace", str(path)]) == 2
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestTraceFileErrors:
+    """A missing trace, or one with a bad header, exits 2 with one error line."""
+
+    @pytest.mark.parametrize("command", ["plan", "analyze", "replay"])
+    def test_missing_trace_exits_2(self, command, tmp_path, capsys):
+        assert main([command, "--trace", str(tmp_path / "missing.csv")]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["plan", "analyze", "replay"])
+    def test_bad_header_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n")
+        assert main([command, "--trace", str(path)]) == 2
+        _one_error_line(capsys)
+
+
+class TestReplayLayouts:
+    TESTBED = ["--hservers", "2", "--sservers", "1"]
+
+    def _trace(self, tmp_path):
+        workload = IORWorkload(
+            IORConfig(n_processes=2, request_size=64 * 1024, file_size=1024 * 1024)
+        )
+        path = tmp_path / "trace.csv"
+        TraceFile.save(path, workload.synthetic_trace())
+        return str(path)
+
+    @pytest.mark.parametrize("spec", ["random", "rand3"])
+    def test_random_layouts_accepted(self, spec, tmp_path, capsys):
+        argv = ["replay", "--trace", self._trace(tmp_path), *self.TESTBED, "--layout", spec]
+        assert main(argv) == 0
+        assert "layout rand:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["0", "bogus"])
+    def test_bad_layout_exits_2(self, spec, tmp_path, capsys):
+        argv = ["replay", "--trace", self._trace(tmp_path), *self.TESTBED, "--layout", spec]
+        assert main(argv) == 2
+        _one_error_line(capsys)
+
+
+class TestReplayBench:
+    SMALL = ["--hservers", "2", "--sservers", "1", "--requests", "256"]
+
+    def test_whole_run_matches_general_path(self, capsys):
+        assert main(["replay-bench", *self.SMALL, "--general"]) == 0
+        out = capsys.readouterr().out
+        assert "1 chunk(s)" in out
+        assert "(identical)" in out
+
+    def test_chunked_run(self, capsys):
+        assert main(["replay-bench", *self.SMALL, "--chunk-size", "100"]) == 0
+        assert "3 chunk(s) of <= 100" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--processes", "0"],
+            ["--requests", "0"],
+            ["--chunk-size", "-5"],
+            ["--layout", "0"],
+            ["--layout", "bogus"],
+            ["--general", "--chunk-size", "100"],
+        ],
+    )
+    def test_bad_arguments_exit_2_before_simulating(self, argv, capsys, monkeypatch):
+        from repro.experiments import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated despite bad arguments")
+
+        monkeypatch.setattr(harness._Run, "__init__", refuse)
+        assert main(["replay-bench", *self.SMALL, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestFigures:
     def test_list_figures(self, capsys):
         assert main(["list-figures"]) == 0

@@ -1,12 +1,15 @@
 """The shared run lifecycle behind every harness entry point.
 
-``run_workload``, ``run_workload_batched`` and ``run_serving`` are thin
-drivers over one run core that builds the cluster, tracer and fault
-injector and fills ``RunResult``'s optional payloads. The payload contract
-must therefore be the same for all three: tracing yields ``obs``, a
+``run_workload`` (on a workload or on a columnar batch), its deprecated
+alias ``run_workload_batched`` and ``run_serving`` are thin drivers over
+one run core that builds the cluster, tracer and fault injector and fills
+``RunResult``'s optional payloads. The payload contract must therefore be
+the same for all of them: tracing yields ``obs``, a
 fault schedule yields ``faults`` (and corruption arms ``integrity``), and a
 plain run carries no optional payload beyond the driver's own.
 """
+
+import pickle
 
 import pytest
 
@@ -37,6 +40,10 @@ def _workload(**kwargs):
     return run_workload(TESTBED, WORKLOAD, LAYOUT, **kwargs)
 
 
+def _batch(**kwargs):
+    return run_workload(TESTBED, WORKLOAD.request_batch(), LAYOUT, **kwargs)
+
+
 def _batched(**kwargs):
     return run_workload_batched(TESTBED, WORKLOAD, LAYOUT, **kwargs)
 
@@ -46,7 +53,9 @@ def _serving(**kwargs):
 
 
 ENTRY_POINTS = pytest.mark.parametrize(
-    "entry", [_workload, _batched, _serving], ids=["workload", "batched", "serving"]
+    "entry",
+    [_workload, _batch, _batched, _serving],
+    ids=["workload", "batch", "batched", "serving"],
 )
 
 
@@ -73,3 +82,10 @@ def test_plain_run_leaves_optional_payloads_none(entry, monkeypatch):
     present = {name for name in PAYLOADS if getattr(result, name) is not None}
     assert present == expected_present
     assert result.makespan > 0
+
+
+@pytest.mark.parametrize("force_general", [False, True])
+def test_batched_alias_equals_run_workload_on_the_batch(force_general):
+    alias = run_workload_batched(TESTBED, WORKLOAD, LAYOUT, force_general=force_general)
+    direct = run_workload(TESTBED, WORKLOAD.request_batch(), LAYOUT, force_general=force_general)
+    assert pickle.dumps(alias) == pickle.dumps(direct)

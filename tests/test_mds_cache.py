@@ -168,10 +168,11 @@ class TestHarnessDeterminism:
                 n_hservers=2, n_sservers=1, seed=0,
                 mds_shards=shards, mds_cache=cache,
             ),
-            workload=MetadataWorkload(MetadataConfig(n_ops=128, n_processes=8)),
+            workload=MetadataWorkload(
+                MetadataConfig(n_ops=128, n_processes=8)
+            ).request_batch(),
             layout=LAYOUT,
             layout_name="64K",
-            batched=True,
         )
 
     def test_cached_storm_serial_vs_jobs_bit_identical(self):

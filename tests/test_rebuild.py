@@ -10,12 +10,13 @@ drains loss-free.
 """
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.harness import Testbed, run_workload, run_workload_batched
+from repro.experiments.harness import Testbed, run_workload
 from repro.experiments.parallel import RunJob, run_jobs
 from repro.faults import (
     FaultSchedule,
@@ -42,9 +43,19 @@ RETRY = RetryPolicy(timeout=None, max_attempts=4, jitter=0.25, seed=7)
 ONE_CRASH = FaultSchedule((ServerCrash(0.002, 0),))
 
 
-def _run(faults=None, rebuild=None, write_quorum=None, batched=False, layout=LAYOUT):
-    fn = run_workload_batched if batched else run_workload
-    return fn(
+@dataclass
+class _KeepTestbed(Testbed):
+    """A testbed that keeps the cluster it built, for its batch counters."""
+
+    last_pfs: object = None
+
+    def build(self, sim):
+        self.last_pfs = super().build(sim)
+        return self.last_pfs
+
+
+def _run(faults=None, rebuild=None, write_quorum=None, layout=LAYOUT):
+    return run_workload(
         TESTBED,
         WORKLOAD,
         layout,
@@ -299,25 +310,24 @@ class TestRebuildOffParity:
     def test_batched_run_counts_rebuild_fallback_and_stays_lossless(self):
         # No fault schedule: the injector's own timers would otherwise trip
         # the earlier "simulator-busy" blocker before "rebuild" is consulted.
-        sink = {}
-        result = run_workload_batched(
-            TESTBED, WORKLOAD, LAYOUT, rebuild=True, stats_sink=sink
-        )
-        assert sink["batch_fallbacks"].get("rebuild", 0) > 0
+        testbed = _KeepTestbed(n_hservers=2, n_sservers=2, seed=0)
+        result = run_workload(testbed, WORKLOAD.request_batch(), LAYOUT, rebuild=True)
+        assert testbed.last_pfs.batch_fallbacks.get("rebuild", 0) > 0
         assert result.durability.data_lost_bytes == 0
         assert result.durability.fully_redundant
 
     def test_batched_rebuild_off_keeps_fast_tiers(self):
-        sink_plain, sink_armed = {}, {}
-        plain = run_workload_batched(TESTBED, WORKLOAD, LAYOUT, stats_sink=sink_plain)
-        quorum = run_workload_batched(
-            TESTBED, WORKLOAD, LAYOUT, write_quorum=1, stats_sink=sink_armed
-        )
+        testbed = _KeepTestbed(n_hservers=2, n_sservers=2, seed=0)
+        batch = WORKLOAD.request_batch()
+        plain = run_workload(testbed, batch, LAYOUT)
+        plain_fallbacks = testbed.last_pfs.batch_fallbacks
+        quorum = run_workload(testbed, batch, LAYOUT, write_quorum=1)
+        armed_fallbacks = testbed.last_pfs.batch_fallbacks
         # Quorum on a replicated layout forces the general tier...
-        assert sink_armed["batch_fallbacks"].get("write-quorum", 0) > 0
-        # ...but leaving durability off keeps whatever tier PR 9 used.
-        assert "rebuild" not in sink_plain["batch_fallbacks"]
-        assert "write-quorum" not in sink_plain["batch_fallbacks"]
+        assert armed_fallbacks.get("write-quorum", 0) > 0
+        # ...but leaving durability off keeps the fast tiers.
+        assert "rebuild" not in plain_fallbacks
+        assert "write-quorum" not in plain_fallbacks
         assert plain.durability is None
         assert quorum.durability is not None
 
