@@ -567,3 +567,33 @@ def test_perf_latency_distribution(benchmark):
     baseline = _baseline_mean("test_perf_latency_distribution")
     if baseline is not None:
         assert benchmark.stats.stats.mean <= baseline * 2.0
+
+
+def test_perf_btio_collective_cell(benchmark):
+    """One fig12-path cell: BTIO P=64, grid 64, two-phase collective I/O.
+
+    64 ranks write four snapshots and read them back through
+    ``write_at_all``/``read_at_all`` on the 64K default layout. Each phase
+    hands 32K nested-strided pieces to the collective engine as ``(n, 2)``
+    int64 columns, which one array kernel merges and splits into eight
+    aggregator domains; the PFS serves 64 access-phase requests in all.
+    Guards the columnar collective path against falling back to
+    per-piece Python work.
+    """
+    from repro.experiments.harness import Testbed, run_workload
+    from repro.workloads.btio import BTIOConfig, BTIOWorkload
+
+    testbed = Testbed(n_hservers=6, n_sservers=2, seed=0)
+    workload = BTIOWorkload(
+        BTIOConfig(n_processes=64, grid=64, timesteps=20, write_interval=5)
+    )
+    layout = FixedLayout(6, 2, 64 * KiB)
+
+    def run():
+        return run_workload(testbed, workload, layout)
+
+    result = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert result.total_bytes == workload.config.total_io_bytes
+    baseline = _baseline_mean("test_perf_btio_collective_cell")
+    if baseline is not None:
+        assert benchmark.stats.stats.mean <= baseline * 2.0

@@ -16,7 +16,7 @@ from collections.abc import Generator
 
 from repro.core.rst import R2FTable, RegionStripeTable
 from repro.devices.base import OpType
-from repro.middleware.collective import CollectiveEngine
+from repro.middleware.collective import CollectiveEngine, Pieces, as_pieces
 from repro.middleware.iosig import TraceCollector
 from repro.middleware.mpi_sim import Communicator
 from repro.pfs.filesystem import HybridPFS, PFSFile
@@ -174,18 +174,16 @@ class MPIIOFile:
 
     # -- collective I/O -----------------------------------------------------
 
-    def read_at_all(self, rank: int, pieces: list[tuple[int, int]]) -> Generator:
-        """Collective read; every rank must call with its piece list."""
+    def read_at_all(self, rank: int, pieces: Pieces) -> Generator:
+        """Collective read; every rank must call with its (offset, size) pieces."""
         yield from self._collective_call(rank, OpType.READ, pieces)
 
-    def write_at_all(self, rank: int, pieces: list[tuple[int, int]]) -> Generator:
-        """Collective write; every rank must call with its piece list."""
+    def write_at_all(self, rank: int, pieces: Pieces) -> Generator:
+        """Collective write; every rank must call with its (offset, size) pieces."""
         yield from self._collective_call(rank, OpType.WRITE, pieces)
 
-    def _collective_call(
-        self, rank: int, op: OpType, pieces: list[tuple[int, int]]
-    ) -> Generator:
+    def _collective_call(self, rank: int, op: OpType, pieces: Pieces) -> Generator:
         if self.collector is not None:
-            for offset, size in pieces:
+            for offset, size in as_pieces(pieces).tolist():
                 self.collector.record(rank, self.handle.name, op, offset, size)
         yield from self._collective.call(rank, op, pieces)

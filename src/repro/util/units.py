@@ -81,23 +81,27 @@ def format_size(n_bytes: int | float, precision: int = 1) -> str:
     ``parse_size(format_size(n)) == n`` always. A rounded label that would
     read back as a different value (``format_size(2047)`` must not say
     ``"2.0K"``, which parses as 2048) gains decimal digits until it
-    round-trips, falling back to the exact byte count (``"2047B"``-style)
-    when no label within three extra digits does.
+    round-trips. When no label of the largest fitting suffix within three
+    extra digits does, a whole label in a smaller suffix is used
+    (``format_size(1250 * MiB) == "1250M"``), and the exact byte count
+    (``"1263716B"``-style) is the last resort.
     """
     n = float(n_bytes)
     if n < 0:
         return "-" + format_size(-n, precision)
     exact = n.is_integer()
+    rounded = True  # Only the largest fitting suffix gets a rounded label.
     for suffix, scale in (("T", TiB), ("G", GiB), ("M", MiB), ("K", KiB)):
         if n >= scale:
             value = n / scale
             if value == int(value):
                 return f"{int(value)}{suffix}"
-            for digits in range(precision, precision + 4):
-                label = f"{value:.{digits}f}{suffix}"
-                if not exact or parse_size(label) == int(n):
-                    return label
-            break
+            if rounded:
+                for digits in range(precision, precision + 4):
+                    label = f"{value:.{digits}f}{suffix}"
+                    if not exact or parse_size(label) == int(n):
+                        return label
+                rounded = False
     if exact:
         return f"{int(n)}B"
     return f"{n:.{precision}f}B"

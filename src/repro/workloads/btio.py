@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.base import OpType
+from repro.middleware.collective import access_phase
 from repro.middleware.mpi_sim import RankContext
 from repro.middleware.mpiio import MPIIOFile
 from repro.pfs.batch import RequestBatch
@@ -109,25 +110,34 @@ class BTIOWorkload:
         prow, pcol = divmod(rank, q)
         return [(c, (pcol + c) % q, (prow + c) % q) for c in range(q)]
 
-    def snapshot_pieces(self, rank: int, snapshot: int) -> list[tuple[int, int]]:
-        """(offset, size) runs ``rank`` contributes to snapshot ``snapshot``.
+    def snapshot_columns(self, rank: int, snapshot: int) -> np.ndarray:
+        """``(n, 2)`` int64 (offset, size) runs ``rank`` contributes to ``snapshot``.
 
-        One contiguous run per (cell, z, y) line; offsets address the shared
-        file with snapshots appended back-to-back.
+        One contiguous run per (cell, z, y) line, in that nesting order;
+        offsets address the shared file with snapshots appended
+        back-to-back.
         """
         cfg = self.config
         cn = cfg.cell_dim
         grid = cfg.grid
-        base = snapshot * cfg.array_bytes
-        run = cn * CELL_BYTES
-        pieces: list[tuple[int, int]] = []
-        for ci, cj, ck in self.owned_cells(rank):
-            x0 = ci * cn
-            for z in range(ck * cn, (ck + 1) * cn):
-                for y in range(cj * cn, (cj + 1) * cn):
-                    element = (z * grid + y) * grid + x0
-                    pieces.append((base + element * CELL_BYTES, run))
-        return pieces
+        cells = np.array(self.owned_cells(rank), dtype=np.int64)
+        line = np.arange(cn, dtype=np.int64)
+        z = cells[:, 2, None] * cn + line  # (cell, z)
+        y = cells[:, 1, None] * cn + line  # (cell, y)
+        x0 = cells[:, 0] * cn
+        element = (z[:, :, None] * grid + y[:, None, :]) * grid + x0[:, None, None]
+        offsets = snapshot * cfg.array_bytes + element.ravel() * CELL_BYTES
+        return np.column_stack((offsets, np.full_like(offsets, cn * CELL_BYTES)))
+
+    def snapshot_pieces(self, rank: int, snapshot: int) -> list[tuple[int, int]]:
+        """:meth:`snapshot_columns` as a list of (offset, size) tuples."""
+        columns = self.snapshot_columns(rank, snapshot)
+        return list(zip(columns[:, 0].tolist(), columns[:, 1].tolist()))
+
+    def _phases(self) -> list[tuple[OpType, int]]:
+        """(op, snapshot) of every collective I/O phase, in issue order."""
+        ops = [OpType.WRITE, OpType.READ] if self.config.read_back else [OpType.WRITE]
+        return [(op, snapshot) for op in ops for snapshot in range(self.config.n_writes)]
 
     def piece_trace(self) -> list[TraceRecord]:
         """The raw MPI-level trace: every rank's nested-strided pieces.
@@ -136,24 +146,31 @@ class BTIOWorkload:
         records — useful for analysis, but not what reaches the PFS once
         collective buffering aggregates.
         """
-        cfg = self.config
         records: list[TraceRecord] = []
-        time = 0.0
-        phases: list[OpType] = [OpType.WRITE]
-        if cfg.read_back:
-            phases.append(OpType.READ)
-        for op in phases:
-            for snapshot in range(cfg.n_writes):
-                for rank in range(cfg.n_processes):
-                    for offset, size in self.snapshot_pieces(rank, snapshot):
-                        records.append(
-                            TraceRecord(
-                                pid=1, rank=rank, fd=3, op=op,
-                                offset=offset, size=size, timestamp=time,
-                            )
+        for time, (op, snapshot) in enumerate(self._phases()):
+            for rank in range(self.config.n_processes):
+                for offset, size in self.snapshot_pieces(rank, snapshot):
+                    records.append(
+                        TraceRecord(
+                            pid=1, rank=rank, fd=3, op=op,
+                            offset=offset, size=size, timestamp=float(time),
                         )
-                time += 1.0
+                    )
         return sort_trace(records)
+
+    def _access_requests(self, snapshot: int) -> tuple[np.ndarray, np.ndarray]:
+        """One snapshot's access-phase requests and the aggregator serving each.
+
+        Runs :func:`repro.middleware.collective.access_phase`, the kernel the
+        collective engine serves from, on every rank's pieces; returns the
+        ``(m, 2)`` requests in issue order and an ``(m,)`` aggregator column.
+        """
+        cfg = self.config
+        pieces = np.concatenate(
+            [self.snapshot_columns(rank, snapshot) for rank in range(cfg.n_processes)]
+        )
+        requests, bounds = access_phase(pieces, min(cfg.n_aggregators, cfg.n_processes))
+        return requests, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
     def synthetic_trace(self) -> list[TraceRecord]:
         """The access-phase trace: what collective buffering sends to the PFS.
@@ -164,32 +181,16 @@ class BTIOWorkload:
         records the post-aggregation requests (merged per snapshot, split
         into ``n_aggregators`` domains).
         """
-        from repro.middleware.collective import merge_intervals, split_into_domains
-
-        cfg = self.config
         records: list[TraceRecord] = []
-        time = 0.0
-        phases: list[OpType] = [OpType.WRITE]
-        if cfg.read_back:
-            phases.append(OpType.READ)
-        for op in phases:
-            for snapshot in range(cfg.n_writes):
-                pieces = [
-                    p
-                    for rank in range(cfg.n_processes)
-                    for p in self.snapshot_pieces(rank, snapshot)
-                ]
-                runs = merge_intervals(pieces)
-                domains = split_into_domains(runs, min(cfg.n_aggregators, cfg.n_processes))
-                for aggregator, domain in enumerate(domains):
-                    for offset, size in merge_intervals(domain):
-                        records.append(
-                            TraceRecord(
-                                pid=1, rank=aggregator, fd=3, op=op,
-                                offset=offset, size=size, timestamp=time,
-                            )
-                        )
-                time += 1.0
+        for time, (op, snapshot) in enumerate(self._phases()):
+            requests, aggregators = self._access_requests(snapshot)
+            for aggregator, (offset, size) in zip(aggregators.tolist(), requests.tolist()):
+                records.append(
+                    TraceRecord(
+                        pid=1, rank=aggregator, fd=3, op=op,
+                        offset=offset, size=size, timestamp=float(time),
+                    )
+                )
         return sort_trace(records)
 
     def request_batch(self) -> RequestBatch:
@@ -200,33 +201,12 @@ class BTIOWorkload:
         collective buffering — but in issue order (phase, snapshot,
         aggregator) rather than offset-sorted.
         """
-        from repro.middleware.collective import merge_intervals, split_into_domains
-
-        cfg = self.config
-        offsets: list[int] = []
-        sizes: list[int] = []
-        reads: list[bool] = []
-        phases: list[OpType] = [OpType.WRITE]
-        if cfg.read_back:
-            phases.append(OpType.READ)
-        for op in phases:
-            for snapshot in range(cfg.n_writes):
-                pieces = [
-                    p
-                    for rank in range(cfg.n_processes)
-                    for p in self.snapshot_pieces(rank, snapshot)
-                ]
-                runs = merge_intervals(pieces)
-                domains = split_into_domains(runs, min(cfg.n_aggregators, cfg.n_processes))
-                for domain in domains:
-                    for offset, size in merge_intervals(domain):
-                        offsets.append(offset)
-                        sizes.append(size)
-                        reads.append(op is OpType.READ)
+        phases = self._phases()
+        requests = [self._access_requests(snapshot)[0] for _, snapshot in phases]
         return RequestBatch(
-            offsets=np.array(offsets, dtype=np.int64),
-            sizes=np.array(sizes, dtype=np.int64),
-            is_read=np.array(reads, dtype=bool),
+            offsets=np.concatenate([r[:, 0] for r in requests]),
+            sizes=np.concatenate([r[:, 1] for r in requests]),
+            is_read=np.repeat([op is OpType.READ for op, _ in phases], [len(r) for r in requests]),
         )
 
     def rank_program(
@@ -242,14 +222,14 @@ class BTIOWorkload:
         cfg = self.config
 
         def do_io(ctx: RankContext, op_write: bool, snapshot: int) -> Generator:
-            pieces = self.snapshot_pieces(ctx.rank, snapshot)
             if collective:
+                pieces = self.snapshot_columns(ctx.rank, snapshot)
                 if op_write:
                     yield from mf.write_at_all(ctx.rank, pieces)
                 else:
                     yield from mf.read_at_all(ctx.rank, pieces)
             else:
-                for offset, size in pieces:
+                for offset, size in self.snapshot_pieces(ctx.rank, snapshot):
                     if op_write:
                         yield from mf.write_at(ctx.rank, offset, size)
                     else:

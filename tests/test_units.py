@@ -96,6 +96,19 @@ class TestFormatSize:
         assert format_size(2047) == "1.999K"
         assert parse_size(format_size(2047)) == 2047
 
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (1250 * MiB, "1250M"),  # No G label round-trips; the M label is exact.
+            (1250 * MiB + 512 * KiB, "1280512K"),
+            (5 * TiB + 7 * MiB, "5242887M"),
+            (3 * GiB + 1, f"{3 * GiB + 1}B"),  # Whole in no unit: bytes.
+        ],
+    )
+    def test_smaller_suffix_tried_before_bytes(self, n, expected):
+        assert format_size(n) == expected
+        assert parse_size(format_size(n)) == n
+
     def test_paper_legend_style(self):
         # Fig. 7's "36K-148K" legend components.
         assert format_size(36 * KiB) == "36K"
